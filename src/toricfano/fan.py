@@ -141,6 +141,8 @@ def fan_from_json(text: str) -> Fan:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError("fan JSON must be an object")
     for key in ("dim", "rays", "max_cones"):
         if key not in obj:
             raise ValidationError(f"missing required field {key!r}")
@@ -166,7 +168,9 @@ def fan_from_json(text: str) -> Fan:
         if any(i < 0 or i >= len(rays) for i in c):
             raise ValidationError(f"max cone {k} has a ray index out of range")
     labels = None
-    if "labels" in obj and obj["labels"]:
+    if "labels" in obj and not isinstance(obj["labels"], dict):
+        raise ValidationError("field 'labels' must be an object")
+    if obj.get("labels"):
         labels = {}
         for key, val in obj["labels"].items():
             try:

@@ -4,6 +4,8 @@ All arithmetic is arbitrary precision and exact: integer matrices are
 sequences of rows of Python ints, rational vectors are tuples of
 ``fractions.Fraction`` (always in lowest terms with positive denominator,
 which Fraction guarantees).  No floating point is used anywhere.
+Rational rows are cleared of denominators on the way in, elimination
+runs over Z, and ``Fraction`` values are built only for answers.
 
 Conventions:
   * a "matrix" is a list/tuple of equal-length rows;
@@ -15,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -27,21 +29,11 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"dimension mismatch: {len(a[0])} vs {len(b)}")
     cols = range(len(b[0])) if b else range(0)
     return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols] for ra in a]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence) -> list:
-    if a and len(a[0]) != len(v):
-        raise ValueError(f"dimension mismatch: {len(a[0])} vs {len(v)}")
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def transpose(m: Sequence[Sequence]) -> list[list]:
@@ -55,10 +47,17 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vector_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The row as ints; a row with ``Fraction`` entries is scaled by the
+    lcm of its denominators, a positive factor that keeps its direction."""
+    if all(isinstance(x, int) for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    mult = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (mult // f.denominator) for f in fracs]
 
 
 def primitive_vector(v: Sequence) -> IntVector:
@@ -66,14 +65,10 @@ def primitive_vector(v: Sequence) -> IntVector:
 
     Only positive scaling is applied, so the ray direction is preserved.
     """
-    if all(x == 0 for x in v):
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    fracs = [Fraction(x) for x in v]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = vector_gcd(ints)
     return tuple(x // g for x in ints)
 
 
@@ -148,28 +143,44 @@ def integer_kernel(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return [tuple(r) for r in reduced if any(x != 0 for x in r)]
 
 
+def _row_reduce(rows: IntMatrix, cols: int) -> list[tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination of integer ``rows`` in place,
+    over their first ``cols`` columns; returns the (row, column) pivots.
+
+    Pivot columns are taken left to right, each pivot from the first
+    remaining row that is nonzero there.  Clearing a column replaces a
+    row r by p*r - a*pivot_row and divides out the gcd of its entries,
+    so entries stay integers without a common factor.  Afterwards each
+    pivot column is zero outside its pivot row, and rows below the last
+    pivot are zero in all ``cols`` columns.
+    """
+    n = len(rows)
+    pivots: list[tuple[int, int]] = []
+    for col in range(cols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(n):
+            a = rows[i][col]
+            if a and i != rank:
+                r = [p * x - a * y for x, y in zip(rows[i], prow)]
+                g = gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+        pivots.append((rank, col))
+        if rank + 1 == n:
+            break
+    return pivots
+
+
 def rational_rank(m: Sequence[Sequence]) -> int:
     """Rank over Q, by fraction-free Gaussian elimination."""
     if not m:
         return 0
-    work = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(rows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_row_reduce([_integer_row(r) for r in m], len(m[0])))
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
@@ -208,30 +219,13 @@ def solve_rational(a: Sequence[Sequence], b: Sequence) -> Optional[RationalVecto
     rows, cols = len(a), len(a[0])
     if len(b) != rows:
         raise ValueError(f"dimension mismatch: {rows} rows vs {len(b)} rhs entries")
-    work = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(rows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if work[i][cols] != 0:
-            return None
+    work = [_integer_row(list(row) + [b[i]]) for i, row in enumerate(a)]
+    pivots = _row_reduce(work, cols)
+    if any(work[i][cols] for i in range(len(pivots), rows)):
+        return None
     x = [Fraction(0)] * cols
     for row, col in pivots:
-        x[col] = work[row][cols]
+        x[col] = Fraction(work[row][cols], work[row][col])
     return tuple(x)
 
 
@@ -266,7 +260,3 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntV
         return None
     ut = transpose(u)
     return tuple(dot(row, y) for row in ut)
-
-
-def lift_to_fractions(v: Sequence) -> RationalVector:
-    return tuple(Fraction(x) for x in v)

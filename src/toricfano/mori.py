@@ -32,6 +32,7 @@ from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
     SurgeryError,
+    _proportional_positive,
     contract,
     extremal_rays,
     flip,
@@ -164,19 +165,11 @@ def _negative_candidates(X: ToricVariety, vec) -> list[tuple]:
             first_wall = min(
                 wall_index[w]
                 for w in X.walls
-                if _same_ray(w.curve_class.coords, c.coords)
+                if _proportional_positive(w.curve_class.coords, c.coords)
             )
             out.append((pairing, first_wall, c, desc))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
-
-
-def _same_ray(a: Sequence[int], b: Sequence[int]) -> bool:
-    from .lattice import primitive_vector
-
-    if all(x == 0 for x in a) or all(x == 0 for x in b):
-        return False
-    return primitive_vector(a) == primitive_vector(b)
 
 
 def _apply_step(
@@ -328,7 +321,7 @@ def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
         matches = [
             i
             for i in range(X.n_rays)
-            if _same_ray(X.ray_divisor_class(i).coords, g)
+            if _proportional_positive(X.ray_divisor_class(i).coords, g)
         ]
         if len(matches) != 1:
             raise InternalCheckError(

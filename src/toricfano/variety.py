@@ -131,6 +131,7 @@ class ToricVariety:
         self.is_smooth = all(
             c.passed for c in self.report.checks if c.name == "smoothness"
         )
+        self._ledger: Optional[LedgerState] = None
 
     # -- class group -------------------------------------------------
 
@@ -369,15 +370,18 @@ class ToricVariety:
     # -- the anticanonical ledger ---------------------------------------
 
     def ledger_state(self) -> LedgerState:
-        """(chi(-K), (-K)^4, (-K)^2.c2, rho) recomputed from the fan."""
-        mk = self.anticanonical_class
-        deg = self.intersection_number(mk, mk, mk, mk)
-        c2 = self.c2_pairing(mk)
-        if deg.denominator != 1 or c2.denominator != 1:
-            raise ValidationError("anticanonical intersection numbers not integral")
-        return LedgerState.from_geometry(
-            degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
-        )
+        """(chi(-K), (-K)^4, (-K)^2.c2, rho) computed from the fan, once
+        per variety."""
+        if self._ledger is None:
+            mk = self.anticanonical_class
+            deg = self.intersection_number(mk, mk, mk, mk)
+            c2 = self.c2_pairing(mk)
+            if deg.denominator != 1 or c2.denominator != 1:
+                raise ValidationError("anticanonical intersection numbers not integral")
+            self._ledger = LedgerState.from_geometry(
+                degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
+            )
+        return self._ledger
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.name or "X"

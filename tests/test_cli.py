@@ -57,6 +57,28 @@ def test_validate_good_and_bad(capsys, registry, tmp_path):
     assert "completeness" in out
 
 
+@pytest.mark.parametrize("top", ["null", "[1, 2]", '"dim"', "4"])
+def test_validate_rejects_non_object_top_level(capsys, registry, tmp_path, top):
+    path = tmp_path / "top.json"
+    path.write_text(top)
+    code, out, err = run(capsys, "--registry", registry, "validate", str(path))
+    assert code == 2
+    assert len((out + err).strip().splitlines()) == 1
+    assert "must be an object" in out + err
+
+
+@pytest.mark.parametrize("labels", [["E"], "E", None, 5])
+def test_validate_rejects_non_object_labels(capsys, registry, tmp_path, labels):
+    obj = json.loads(fan_to_json(p4().fan))
+    obj["labels"] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "--registry", registry, "validate", str(path))
+    assert code == 2
+    assert len((out + err).strip().splitlines()) == 1
+    assert "'labels' must be an object" in out + err
+
+
 def test_blowup_then_info_from_registry(capsys, registry):
     code, out, _ = run(
         capsys, "--registry", registry, "blowup", "P4", "--center", "0,1,2,3", "--as", "B"

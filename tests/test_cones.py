@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano.cones import RationalCone, dual_extreme_rays
+from toricfano.cones import RationalCone, _dual_extreme_rays, dual_extreme_rays
 from toricfano.lattice import dot, integer_kernel, primitive_vector, rational_rank
 
 
@@ -221,3 +221,35 @@ def test_dimension_mismatch_raises():
 def test_dual_extreme_rays_no_constraints():
     rays = dual_extreme_rays([], 2)
     assert set(rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+vectors4 = st.lists(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vectors4, st.randoms(use_true_random=False), st.lists(st.integers(1, 5), min_size=7, max_size=7))
+def test_dual_extreme_rays_ignores_order_duplicates_and_scale(vecs, rnd, scales):
+    expected = dual_extreme_rays(vecs, 4)
+    shuffled = [[k * x for x in v] for v, k in zip(vecs, scales)] + vecs[:2]
+    rnd.shuffle(shuffled)
+    assert dual_extreme_rays(shuffled, 4) == expected
+    # The memo is keyed on the sorted constraint set, so check the
+    # uncached conversion itself on another order of the same set.
+    cons = sorted({primitive_vector(v) for v in vecs if any(v)})
+    rnd.shuffle(cons)
+    assert list(_dual_extreme_rays.__wrapped__(tuple(cons), 4)) == expected
+
+
+def test_dual_extreme_rays_returns_a_fresh_list():
+    vecs = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    first = dual_extreme_rays(vecs, 3)
+    expected = list(first)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    second = dual_extreme_rays(vecs, 3)
+    assert second == expected
+    assert second is not first

@@ -1,0 +1,61 @@
+"""Byte-identity guard for the canonical ``--json`` output.
+
+``tests/data/cli_golden.json`` holds the stdout of ``--json`` ``info``,
+``cones``, ``delta``, ``fixed`` and ``chambers`` on every builtin fan.
+Any change to those bytes must be deliberate: regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change why the output moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from toricfano.cli import main
+from toricfano.library import builtin_names
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+COMMANDS = ("info", "cones", "delta", "fixed", "chambers")
+
+
+def render(command: str, name: str, registry: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--registry", registry, "--json", command, name])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _cases() -> list[tuple[str, str]]:
+    return [(c, n) for n in sorted(builtin_names()) for c in COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_builtin(golden):
+    assert sorted(golden) == sorted(f"{c} {n}" for c, n in _cases())
+
+
+@pytest.mark.parametrize("command,name", _cases())
+def test_json_output_is_byte_identical(golden, tmp_path, command, name):
+    assert render(command, name, str(tmp_path / "fans")) == golden[f"{command} {name}"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {f"{c} {n}": render(c, n, tmp) for c, n in _cases()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(record)} outputs to {GOLDEN}", file=sys.stderr)

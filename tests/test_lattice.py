@@ -17,6 +17,7 @@ from toricfano.lattice import (
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
+entries = st.one_of(small_ints, st.fractions(min_value=-9, max_value=9, max_denominator=7))
 
 
 def matrices(max_rows=5, max_cols=5):
@@ -164,3 +165,97 @@ def test_det_int():
 def test_transpose_round_trip():
     m = [[1, 2, 3], [4, 5, 6]]
     assert transpose(transpose(m)) == m
+
+
+# -- the Fraction Gauss-Jordan the integer kernel replaced, as a reference --
+
+
+def _reference_reduce(work, cols):
+    rows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, rows) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for i in range(rows):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        pivots.append((rank, col))
+        rank += 1
+        if rank == rows:
+            break
+    return pivots
+
+
+def reference_rank(m):
+    if not m:
+        return 0
+    return len(_reference_reduce([[Fraction(x) for x in row] for row in m], len(m[0])))
+
+
+def reference_solve(a, b):
+    rows, cols = len(a), len(a[0])
+    work = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = _reference_reduce(work, cols)
+    if any(work[i][cols] != 0 for i in range(len(pivots), rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for row, col in pivots:
+        x[col] = work[row][cols]
+    return tuple(x)
+
+
+@st.composite
+def mixed_matrices(draw, max_rows=5, max_cols=6):
+    """Int and Fraction matrices, rectangular, with dependent and zero rows."""
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=1, max_size=max_rows))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(m) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(m) - 1))
+        s, t = draw(entries), draw(entries)
+        m.append([s * x + t * y for x, y in zip(m[i], m[j])])
+    if draw(st.booleans()):
+        m.insert(draw(st.integers(min_value=0, max_value=len(m))), [0] * cols)
+    return m
+
+
+@settings(max_examples=150)
+@given(mixed_matrices())
+def test_rank_matches_fraction_reference(m):
+    assert rational_rank(m) == reference_rank(m)
+
+
+@settings(max_examples=150)
+@given(mixed_matrices(), st.data())
+def test_solve_matches_fraction_reference(a, data):
+    if data.draw(st.booleans()):  # consistent right-hand side
+        x = data.draw(st.lists(entries, min_size=len(a[0]), max_size=len(a[0])))
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+    else:
+        b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    sol = solve_rational(a, b)
+    assert sol == reference_solve(a, b)
+    assert sol is None or all(type(v) is Fraction for v in sol)
+
+
+def test_solve_free_variables_are_zero():
+    assert solve_rational([[0, 2, 4, 1]], [6]) == (0, 3, 0, 0)
+    assert solve_rational([[1, 1, 0], [2, 2, 0], [0, 0, 0]], [1, 2, 0]) == (1, 0, 0)
+
+
+@settings(max_examples=200)
+@given(st.lists(small_ints, min_size=1, max_size=6), st.integers(min_value=1, max_value=12))
+def test_primitive_vector_int_and_fraction_agree(v, d):
+    if not any(v):
+        return
+    p = primitive_vector(v)
+    assert p == primitive_vector([Fraction(x, d) for x in v])
+    assert all(type(x) is int for x in p)
+    assert sum(x * y for x, y in zip(p, v)) > 0
