@@ -230,9 +230,6 @@ class RationalCone:
     def is_pointed(self) -> bool:
         return self.lineality_dim == 0
 
-    def is_full_dimensional(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .lattice import det_int, primitive_vector, solve_rational, vector_gcd
+from .lattice import _row_reduce, det_int, primitive_vector, vector_gcd
 
 IntVec = tuple[int, ...]
 
@@ -94,9 +94,6 @@ class Fan:
         if self.labels and self.labels[i]:
             return self.labels[i]
         return f"u{i}"
-
-    def cone_rays(self, cone: Sequence[int]) -> list[IntVec]:
-        return [self.rays[i] for i in cone]
 
     def has_cone(self, indices: Sequence[int]) -> bool:
         want = set(indices)
@@ -214,18 +211,26 @@ def _structural_check(fan: Fan) -> Optional[str]:
 
 
 def _cone_inward_normals(fan: Fan, cone: Sequence[int]) -> list[IntVec]:
-    """Rows g_i with g_i . u_j = delta_ij over the cone's rays.
+    """Primitive inward facet normals of a simplicial cone, one per ray.
 
-    Integer because maximal cones are unimodular; the i-th row is the
-    inward normal of the facet obtained by dropping ray i.
+    The i-th row is the primitive positive multiple of the dual-basis
+    row g_i with g_i . u_j = delta_ij over the cone's rays u_j, i.e. the
+    inward normal of the facet obtained by dropping ray i.  All rows come
+    from one fraction-free elimination of [U^T | I]: it leaves
+    [diag(p) | diag(p) (U^T)^-1], so the right half of row i is p_i g_i.
+    On a unimodular cone the rows are the dual basis itself.
     """
-    mat = [list(fan.rays[i]) for i in cone]
+    n = fan.dim
+    work = [
+        [fan.rays[j][t] for j in cone] + [1 if s == t else 0 for s in range(n)]
+        for t in range(n)
+    ]
+    pivots = _row_reduce(work, len(cone))
+    assert len(pivots) == len(cone) == n, "cone is not simplicial and full-dimensional"
     rows = []
-    for k in range(len(cone)):
-        rhs = [1 if t == k else 0 for t in range(len(cone))]
-        sol = solve_rational(mat, rhs)
-        assert sol is not None
-        rows.append(primitive_vector(sol))
+    for row, col in pivots:
+        sign = 1 if work[row][col] > 0 else -1
+        rows.append(primitive_vector([sign * x for x in work[row][n:]]))
     return rows
 
 
@@ -260,10 +265,14 @@ def _pair_intersects_in_common_face(
     return inter == expected
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def validate(fan: Fan) -> ValidationReport:
     """Full validation: structure, primitivity, smoothness,
-    face-compatibility, completeness."""
+    face-compatibility, completeness.
+
+    Cached on the fan; 1024 entries hold every distinct fan a chamber
+    walk or an exhaustive MMP on the builtins visits, with room to spare.
+    """
     checks: list[CheckResult] = []
 
     structural = _structural_check(fan)

@@ -194,11 +194,6 @@ class FlipCircuit:
     positive: tuple[int, ...]
     negative: tuple[int, ...]
 
-    @property
-    def planes_to_lines(self) -> bool:
-        """True when the current side carries the 2-dimensional locus."""
-        return len(self.positive) == 3
-
 
 def _proportional_positive(a: Sequence[int], b: Sequence[int]) -> bool:
     if all(x == 0 for x in a) or all(x == 0 for x in b):

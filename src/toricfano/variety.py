@@ -8,13 +8,18 @@ class is the pairing vector (k . a) for k running over that basis, so
 divisor-class coordinates and curve-class coordinates pair by plain dot
 product (the pairing matrix in these bases is the identity).
 
-Intersection numbers use iterated restriction: a divisor is rewritten,
-via an exact linear-equivalence move, to have zero coefficient on the
-rays of the current orbit closure, and then distributed over the
-adjacent orbit closures; the recursion bottoms out in a point count on
-maximal cones.  The second Chern class of a smooth complete toric
-variety is the sum of the classes of the invariant surfaces, i.e. of
-the orbit closures of the 2-dimensional cones.
+Intersection numbers use iterated restriction to orbit closures
+V(sigma).  Each maximal cone carries its dual basis: the rows g_i with
+g_i . u_j = delta_ij over its rays, from one elimination per cone.
+For a face sigma of a chosen maximal cone, m = sum_{i in sigma} a_i g_i
+has m . u_i = a_i on sigma, so D - div(chi^m) is a linearly equivalent
+divisor with zero coefficient on the rays of sigma; its coefficients
+on the rays j of the link of sigma (those with sigma + j a face) are
+b_j = a_j - sum_i a_i (g_i . u_j), and D . V(sigma) = sum_j b_j V(sigma + j).
+The recursion bottoms out in a point count on maximal cones.  On a smooth fan the g_i are integers, so integer input stays in
+integer arithmetic throughout.  The second Chern class of a smooth
+complete toric variety is the sum of the classes of the invariant
+surfaces, i.e. of the orbit closures of the 2-dimensional cones.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .fan import Fan, ValidationError, ValidationReport, validated
-from .lattice import dot, integer_kernel, solve_integer, solve_rational, transpose
+from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
+from .lattice import dot, integer_kernel, solve_integer
 from .ledger import LedgerState
 
 IntVec = tuple[int, ...]
@@ -214,12 +219,19 @@ class ToricVariety:
         return _as_coords(vec)
 
     def curve_class_from_relation(self, relation: Sequence[int]) -> CurveClass:
-        sol = solve_rational(
-            transpose([list(k) for k in self.curve_basis]), list(relation)
-        )
-        if sol is None or any(f.denominator != 1 for f in sol):
+        """Curve-basis coordinates of an integer relation among the rays.
+
+        The relation lattice is saturated, so an integer relation r is
+        sum_a (r . s_a) k_a over the section columns s_a.
+        """
+        if len(relation) != self.n_rays:
+            raise ValueError("relation has wrong length")
+        if any(x != int(x) for x in relation) or any(
+            sum(x * u[t] for x, u in zip(relation, self.fan.rays))
+            for t in range(self.dim)
+        ):
             raise ValueError("vector is not an integer relation among the rays")
-        return CurveClass(tuple(int(f) for f in sol))
+        return CurveClass(tuple(int(dot(relation, col)) for col in self._section))
 
     @staticmethod
     def pair(d: DivisorClass, c: CurveClass):
@@ -229,8 +241,21 @@ class ToricVariety:
     # -- walls ---------------------------------------------------------
 
     @cached_property
+    def _cone_normals(self) -> dict[tuple[int, ...], list[IntVec]]:
+        """Per maximal cone, the primitive inward facet normals, one per
+        ray; on a smooth fan they are the dual basis g_i."""
+        return {c: _cone_inward_normals(self.fan, c) for c in self.fan.max_cones}
+
+    @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        """One wall per codimension-one cone shared by two maximal cones."""
+        """One wall per codimension-one cone shared by two maximal cones.
+
+        The relation is u_other - sum_k lambda_k u_k over the rays u_k of
+        the cone opposite u_other, with lambda_k = g_k . u_other.  The
+        primitive normal n_k is a positive multiple of g_k, so
+        lambda_k = (n_k . u_other) / (n_k . u_k); the relation is scaled
+        by the lcm of those denominators and made primitive.
+        """
         out = []
         for facet, cones in sorted(self.fan.facets().items()):
             if len(cones) != 2:
@@ -241,23 +266,16 @@ class ToricVariety:
             a, b = min(a, b), max(a, b)
             basis_cone = c1 if a in c1 else c2
             other = b if a in basis_cone else a
-            lam = solve_rational(
-                transpose([list(self.fan.rays[i]) for i in basis_cone]),
-                list(self.fan.rays[other]),
-            )
-            assert lam is not None
-            rel = [Fraction(0)] * self.n_rays
-            rel[other] = Fraction(1)
-            for idx, j in enumerate(basis_cone):
-                rel[j] -= lam[idx]
-            denom = 1
-            for x in rel:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            rel_scaled = [int(x * denom) for x in rel]
-            g = 0
-            for x in rel_scaled:
-                g = gcd(g, x)
-            rel_int = tuple(x // g for x in rel_scaled)
+            normals = self._cone_normals[basis_cone]
+            u = self.fan.rays[other]
+            scales = [dot(n, self.fan.rays[j]) for n, j in zip(normals, basis_cone)]
+            denom = lcm(*scales)
+            rel = [0] * self.n_rays
+            rel[other] = denom
+            for n, j, s in zip(normals, basis_cone, scales):
+                rel[j] = -dot(n, u) * (denom // s)
+            g = gcd(*rel)
+            rel_int = tuple(x // g for x in rel)
             if self.is_smooth and (rel_int[a] != 1 or rel_int[b] != 1):
                 raise ValidationError("wall relation is not unimodular on a smooth fan")
             deg = sum(rel_int)
@@ -286,49 +304,68 @@ class ToricVariety:
     # -- intersection theory -------------------------------------------
 
     @cached_property
-    def _face_set(self) -> frozenset[tuple[int, ...]]:
-        faces = set()
+    def _links(self) -> dict[tuple[int, ...], tuple]:
+        """For every face sigma, its link as ((j, sigma + j, restriction), ...).
+
+        sigma + j runs over the faces one dimension up and ``restriction``
+        lists the nonzero pairs (i, g_i . u_j), i in sigma, with g_i the
+        dual basis of the first maximal cone containing sigma; the
+        coefficient of D_j after restricting sum_k a_k D_k off sigma is
+        a_j - sum a_i (g_i . u_j).  That sum is empty for j in the same
+        maximal cone.  Requires a smooth fan.
+        """
+        rays = self.fan.rays
+        home: dict[tuple[int, ...], tuple[int, ...]] = {}
+        link: dict[tuple[int, ...], set[int]] = {}
         for c in self.fan.max_cones:
             m = len(c)
             for mask in range(1 << m):
-                faces.add(tuple(c[i] for i in range(m) if mask >> i & 1))
-        return frozenset(faces)
+                sigma = tuple(c[i] for i in range(m) if mask >> i & 1)
+                home.setdefault(sigma, c)
+                link.setdefault(sigma, set()).update(
+                    c[i] for i in range(m) if not mask >> i & 1
+                )
+        out = {}
+        for sigma, js in link.items():
+            cone = home[sigma]
+            dual = self._cone_normals[cone]
+            rows = [(i, dual[cone.index(i)]) for i in sigma]
+            entries = []
+            for j in sorted(js):
+                restriction = []
+                if j not in cone:
+                    for i, g in rows:
+                        x = sum(a * b for a, b in zip(g, rays[j]))
+                        if x:
+                            restriction.append((i, x))
+                entries.append((j, tuple(sorted(sigma + (j,))), tuple(restriction)))
+            out[sigma] = tuple(entries)
+        return out
 
     @cached_property
     def two_cones(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(f for f in self._face_set if len(f) == 2))
-
-    def _restrict_off(self, coeffs: Coords, sigma: tuple[int, ...]) -> Coords:
-        """Rewrite the divisor, by an exact linear-equivalence move, so its
-        coefficients vanish on the rays of sigma."""
-        if not sigma:
-            return coeffs
-        mat = [list(self.fan.rays[i]) for i in sigma]
-        m = solve_rational(mat, [coeffs[i] for i in sigma])
-        assert m is not None
-        return tuple(
-            coeffs[i] - dot(self.fan.rays[i], m) for i in range(self.n_rays)
-        )
+        return tuple(sorted(f for f in self._links if len(f) == 2))
 
     def _product_on_cycle(
-        self, start: tuple[int, ...], divisor_vectors: Sequence[Coords]
-    ) -> Fraction:
-        if len(start) + len(divisor_vectors) != self.dim:
+        self, cycle: dict[tuple[int, ...], int], divisor_vectors: Sequence[Coords]
+    ):
+        """Degree of the divisors' product with sum_sigma coef * V(sigma).
+
+        Exact in the arithmetic of the input: an int for integer input.
+        """
+        if any(len(s) + len(divisor_vectors) != self.dim for s in cycle):
             raise ValueError("degree mismatch: product does not reach dimension 0")
-        terms: dict[tuple[int, ...], Fraction] = {tuple(start): Fraction(1)}
+        links = self._links
+        terms = cycle
         for vec in divisor_vectors:
-            nxt: dict[tuple[int, ...], Fraction] = {}
+            nxt: dict = {}
             for sigma, coef in terms.items():
-                adj = self._restrict_off(vec, sigma)
-                for i in range(self.n_rays):
-                    if i in sigma or adj[i] == 0:
-                        continue
-                    tau = tuple(sorted(sigma + (i,)))
-                    if tau not in self._face_set:
-                        continue
-                    nxt[tau] = nxt.get(tau, Fraction(0)) + coef * Fraction(adj[i])
-            terms = {s: c for s, c in nxt.items() if c != 0}
-        return sum(terms.values(), Fraction(0))
+                for j, tau, restriction in links.get(sigma, ()):
+                    a = vec[j] - sum(vec[i] * x for i, x in restriction)
+                    if a:
+                        nxt[tau] = nxt.get(tau, 0) + coef * a
+            terms = {s: c for s, c in nxt.items() if c}
+        return sum(terms.values())
 
     def intersection_number(self, *divisors: Union[DivisorClass, Sequence]) -> Fraction:
         """Exact top intersection number of dim-many divisor classes."""
@@ -343,7 +380,7 @@ class ToricVariety:
                 vectors.append(self.lift(d))
             else:
                 vectors.append(_as_coords(d))
-        return self._product_on_cycle((), vectors)
+        return Fraction(self._product_on_cycle({(): 1}, vectors))
 
     def c2_product(
         self,
@@ -358,10 +395,7 @@ class ToricVariety:
             self.lift(d) if isinstance(d, DivisorClass) else _as_coords(d)
             for d in (d1, d2)
         ]
-        total = Fraction(0)
-        for sigma in self.two_cones:
-            total += self._product_on_cycle(sigma, vecs)
-        return total
+        return Fraction(self._product_on_cycle(dict.fromkeys(self.two_cones, 1), vecs))
 
     def c2_pairing(self, d: Union[DivisorClass, Sequence]) -> Fraction:
         """D^2 . c2(X)."""

@@ -102,6 +102,67 @@ def test_intersection_multilinear_random(quads):
     assert X.intersection_number(*doubled) == 2 * v
 
 
+# -- the dual-basis kernel against the Fraction restriction it replaced ----
+
+
+def _reference_product_on_cycle(X, start, vectors):
+    """Iterated restriction as computed before the dual-basis kernel: per
+    face one rational solve for m with m . u_i = a_i on the face, then a
+    scan over all rays for the faces one dimension up, in Fraction
+    arithmetic throughout."""
+    from toricfano.lattice import solve_rational
+
+    faces = {
+        tuple(c[i] for i in range(len(c)) if mask >> i & 1)
+        for c in X.fan.max_cones
+        for mask in range(1 << len(c))
+    }
+    terms = {tuple(start): Fraction(1)}
+    for vec in vectors:
+        nxt = {}
+        for sigma, coef in terms.items():
+            adj = list(vec)
+            if sigma:
+                m = solve_rational([list(X.fan.rays[i]) for i in sigma], [vec[i] for i in sigma])
+                adj = [vec[i] - sum(a * b for a, b in zip(X.fan.rays[i], m)) for i in range(X.n_rays)]
+            for i in range(X.n_rays):
+                tau = tuple(sorted(sigma + (i,)))
+                if i not in sigma and adj[i] != 0 and tau in faces:
+                    nxt[tau] = nxt.get(tau, Fraction(0)) + coef * Fraction(adj[i])
+        terms = {s: c for s, c in nxt.items() if c != 0}
+    return sum(terms.values(), Fraction(0))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_intersections_match_fraction_reference(name, data):
+    # Integer divisor vectors, or the same halved into half-integers.
+    X = builtin(name)
+    entries = st.lists(st.integers(min_value=-3, max_value=3), min_size=X.n_rays, max_size=X.n_rays)
+    half = data.draw(st.booleans())
+    vecs = [
+        [Fraction(x, 2) if half else x for x in v]
+        for v in data.draw(st.lists(entries, min_size=4, max_size=4))
+    ]
+    value = X.intersection_number(*vecs)
+    assert type(value) is Fraction
+    assert value == _reference_product_on_cycle(X, (), vecs)
+    c2 = X.c2_product(vecs[0], vecs[1])
+    assert type(c2) is Fraction
+    assert c2 == sum(
+        (_reference_product_on_cycle(X, s, vecs[:2]) for s in X.two_cones), Fraction(0)
+    )
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_intersection_kernel_stays_integral_on_integer_input(name):
+    X = builtin(name)
+    ones = [1] * X.n_rays
+    assert type(X._product_on_cycle({(): 1}, [ones] * 4)) is int
+    assert type(X._product_on_cycle(dict.fromkeys(X.two_cones, 1), [ones] * 2)) is int
+
+
 # -- blow-up / contract round trips on random centers -------------------
 
 

@@ -4,9 +4,20 @@ from itertools import permutations
 
 import pytest
 
-from toricfano.fan import Fan, ValidationError, fan_from_json, fan_to_json, validate
+from toricfano.fan import (
+    Fan,
+    ValidationError,
+    _cone_inward_normals,
+    fan_from_json,
+    fan_to_json,
+    validate,
+)
+from toricfano.lattice import primitive_vector, solve_rational
 from toricfano.library import (
     bl_pt_p4,
+    builtin,
+    builtin_names,
+    d3,
     f2xp2,
     hirzebruch_fan,
     p1xp3,
@@ -215,6 +226,125 @@ def test_wall_curve_pairing_matches_relation():
     for w in X.walls:
         for i in range(X.n_rays):
             assert X.pair(X.ray_divisor_class(i), w.curve_class) == w.relation[i]
+
+
+def _reference_cone_normals(fan, cone):
+    """The normals as solved before: one rational solve per dual row."""
+    mat = [list(fan.rays[i]) for i in cone]
+    return [
+        primitive_vector(solve_rational(mat, [1 if t == k else 0 for t in range(len(cone))]))
+        for k in range(len(cone))
+    ]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_cone_normals_are_the_dual_basis(name):
+    fan = builtin(name).fan
+    for cone in fan.max_cones:
+        rows = _cone_inward_normals(fan, cone)
+        for i, g in enumerate(rows):
+            for j, r in enumerate(cone):
+                assert sum(a * b for a, b in zip(g, fan.rays[r])) == (1 if i == j else 0)
+
+
+def test_cone_normals_on_non_unimodular_cone():
+    # |det| = 6: the dual-basis rows are not integral, so each normal is
+    # the primitive positive multiple of its row.
+    rays = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [1, 1, 1, 1]]
+    fan = Fan.make(4, rays, [[0, 1, 2, 3]])
+    cone = fan.max_cones[0]
+    rows = _cone_inward_normals(fan, cone)
+    assert rows == _reference_cone_normals(fan, cone)
+    for i, g in enumerate(rows):
+        pairings = [sum(a * b for a, b in zip(g, fan.rays[r])) for r in cone]
+        assert pairings[i] > 0
+        assert all(x == 0 for j, x in enumerate(pairings) if j != i)
+    assert any(sum(a * b for a, b in zip(g, fan.rays[cone[i]])) > 1 for i, g in enumerate(rows))
+
+
+def _reference_wall_relations(X):
+    """Wall relations as solved before, in Fraction arithmetic."""
+    out = []
+    for facet, (c1, c2) in sorted(X.fan.facets().items()):
+        a = next(i for i in c1 if i not in facet)
+        b = next(i for i in c2 if i not in facet)
+        a, b = min(a, b), max(a, b)
+        basis_cone = c1 if a in c1 else c2
+        other = b if a in basis_cone else a
+        lam = solve_rational(
+            [[X.fan.rays[i][t] for i in basis_cone] for t in range(X.dim)],
+            list(X.fan.rays[other]),
+        )
+        rel = [Fraction(0)] * X.n_rays
+        rel[other] = Fraction(1)
+        for idx, j in enumerate(basis_cone):
+            rel[j] -= lam[idx]
+        out.append(primitive_vector(rel))
+    return out
+
+
+def _weighted_projective_space(weights):
+    # Rays e_1..e_4 of weights w_0..w_3 and a last ray of weight 1.
+    rays = [[1 if t == i else 0 for t in range(4)] for i in range(4)]
+    rays.append([-w for w in weights])
+    cones = [[j for j in range(5) if j != i] for i in range(5)]
+    return ToricVariety(Fan.make(4, rays, cones), allow_singular=True)
+
+
+def _weighted_p11112():
+    # P4 with its last ray doubled off the primitive direction in one
+    # coordinate: P(1,1,1,2,1), one cone of index 2.
+    return _weighted_projective_space([1, 1, 1, 2])
+
+
+def _weighted_p12361():
+    # P(1,2,3,6,1): the cone without the weight-6 ray has index 6 and its
+    # dual-basis rows have denominators 6, 3, 2 and 6, so each lambda_k
+    # needs its own scaling.
+    return _weighted_projective_space([1, 2, 3, 6])
+
+
+def _singular_contraction_of_flipped_d3():
+    from toricfano.surgery import contract, extremal_rays, flip
+
+    X = d3()
+    small_class = next(c for c, d in extremal_rays(X) if d.kind == "small")
+    X2, _ = flip(X, small_class)
+    return contract(X2, X.n_rays - 1, allow_singular=True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_weighted_p11112, _weighted_p12361, _singular_contraction_of_flipped_d3, bl_pt_p4, d3],
+)
+def test_walls_match_rational_construction(make):
+    X = make()
+    assert [w.relation for w in X.walls] == _reference_wall_relations(X)
+    assert all(w.degK == sum(w.relation) for w in X.walls)
+
+
+def test_walls_on_singular_fan_keep_non_unit_coefficients():
+    X = _weighted_p11112()
+    assert not X.is_smooth
+    assert {w.relation for w in X.walls} == {(1, 1, 1, 2, 1)}
+    Z = _singular_contraction_of_flipped_d3()
+    assert not Z.is_smooth
+    assert any(max(abs(x) for x in w.relation) > 1 for w in Z.walls)
+
+
+def test_curve_class_from_relation_rejects_non_relations():
+    X = bl_pt_p4()
+    w = X.walls[0]
+    assert X.curve_class_from_relation(w.relation) == w.curve_class
+    assert X.curve_class_from_relation([2 * x for x in w.relation]) == 2 * w.curve_class
+    not_a_relation = list(w.relation)
+    not_a_relation[0] += 1
+    with pytest.raises(ValueError):
+        X.curve_class_from_relation(not_a_relation)
+    with pytest.raises(ValueError):
+        X.curve_class_from_relation([Fraction(x, 2) for x in w.relation])
+    with pytest.raises(ValueError):
+        X.curve_class_from_relation(w.relation[:-1])
 
 
 def test_max_cone_count_equals_fixed_points():
