@@ -25,7 +25,6 @@ from .mori import (
 from .surgery import (
     ContractionDescriptor,
     SurgeryError,
-    anticanonical_wall_degrees,
     blowup,
     contract,
     extremal_rays,
@@ -52,7 +51,6 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "Wall",
-    "anticanonical_wall_degrees",
     "blowup",
     "builtin",
     "builtin_names",

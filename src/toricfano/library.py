@@ -16,6 +16,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .fan import Fan, fan_from_json
+from .mori import classified_fixed_divisors
+from .surgery import SurgeryError, blowup, extremal_rays, flip
 from .variety import ToricVariety
 
 
@@ -106,8 +108,6 @@ def f2xp2() -> ToricVariety:
 
 def bl_pt_p4() -> ToricVariety:
     """Blow-up of P4 at the torus-fixed point of the cone on e1..e4."""
-    from .surgery import blowup
-
     return blowup(p4(), (0, 1, 2, 3), name="Bl_pt_P4")
 
 
@@ -125,8 +125,6 @@ def bundle_over_p2_O_O1_O2() -> ToricVariety:
 
 def d3() -> ToricVariety:
     """Blow-up of P(O+O(1)+O(2)) over P2 along the negative section."""
-    from .surgery import blowup
-
     return blowup(bundle_over_p2_O_O1_O2(), (0, 1), name="D3")
 
 
@@ -145,8 +143,6 @@ def bundle_over_p1xp2_O11() -> ToricVariety:
 def plane_blowup_tower_base() -> ToricVariety:
     """Bl_pt P4 blown up along the transform of an invariant plane
     through the blown-up point (rho = 3)."""
-    from .surgery import blowup
-
     return blowup(bl_pt_p4(), (0, 1), name="Y_tower")
 
 
@@ -171,8 +167,6 @@ def flips_to_fano(
 ) -> tuple[ToricVariety, list[tuple[int, ...]]]:
     """Flip anticanonically negative small extremal rays until the fan
     is Fano.  Raises when stuck or over the cap."""
-    from .surgery import SurgeryError, extremal_rays, flip
-
     flipped: list[tuple[int, ...]] = []
     current = X
     while not current.is_fano:
@@ -197,8 +191,6 @@ def two_point_tower(
     base: ToricVariety, pair: tuple[tuple[int, ...], tuple[int, ...]], *, max_flips: int = 8
 ) -> TowerResult:
     """Blow up two torus-fixed points of the base, then flip to Fano."""
-    from .surgery import blowup
-
     sigma1, sigma2 = pair
     x1 = blowup(base, sigma1)
     x2 = blowup(x1, sigma2, name=(base.name or "Y") + "+2pts")
@@ -218,9 +210,6 @@ def r3_tower_search() -> TowerResult:
     whose two-point blow-up reaches, by exactly three flips, a Fano fan
     with six fixed prime divisors of which exactly two are smooth point
     blow-downs."""
-    from .mori import classified_fixed_divisors
-    from .surgery import SurgeryError
-
     base = plane_blowup_tower_base()
     cones = base.fan.max_cones
     failures = []

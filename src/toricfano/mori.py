@@ -27,12 +27,11 @@ from typing import Optional, Sequence, Union
 
 from .cones import RationalCone
 from .fan import Fan
-from .lattice import det_int, dot, rational_rank
+from .lattice import det_int, dot, primitive_vector, rational_rank
 from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
     SurgeryError,
-    _proportional_positive,
     contract,
     extremal_rays,
     flip,
@@ -157,17 +156,11 @@ def _negative_candidates(X: ToricVariety, vec) -> list[tuple]:
     """D-negative extremal rays sorted by the default policy: most
     negative pairing first, ties by smallest wall index."""
     coords = X.divisor_class(vec).coords
-    wall_index = {w: i for i, w in enumerate(X.walls)}
     out = []
     for c, desc in extremal_rays(X):
         pairing = dot(coords, c.coords)
         if pairing < 0:
-            first_wall = min(
-                wall_index[w]
-                for w in X.walls
-                if _proportional_positive(w.curve_class.coords, c.coords)
-            )
-            out.append((pairing, first_wall, c, desc))
+            out.append((pairing, X.walls_by_class[c.coords][0], c, desc))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
@@ -314,15 +307,16 @@ def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
     """Invariant prime divisors whose class spans a one-dimensional face
     of the effective cone not contained in the movable cone."""
     suite = cone_suite(X)
+    rays_by_class: dict[IntVec, list[int]] = {}
+    for i in range(X.n_rays):
+        rays_by_class.setdefault(
+            primitive_vector(X.ray_divisor_class(i).coords), []
+        ).append(i)
     reports = []
     for g in suite.eff.generators:
         if suite.mov.contains(g):
             continue
-        matches = [
-            i
-            for i in range(X.n_rays)
-            if _proportional_positive(X.ray_divisor_class(i).coords, g)
-        ]
+        matches = rays_by_class.get(g, [])
         if len(matches) != 1:
             raise InternalCheckError(
                 f"effective face {g} carried by {len(matches)} invariant divisors"
@@ -388,33 +382,34 @@ def classified_fixed_divisors(X: ToricVariety, **kw) -> list[FixedDivisorReport]
 # -- Lefschetz defect --------------------------------------------------
 
 
+def _defect_witnesses(X: ToricVariety) -> tuple[int, list[int]]:
+    """(delta, the rays attaining it), from the codimension of the span
+    of the wall-curve classes inside each invariant prime divisor."""
+    codims = [
+        X.rho
+        - rational_rank([list(w.curve_class.coords) for w in X.walls if i in w.shared])
+        for i in range(X.n_rays)
+    ]
+    delta = max(codims)
+    return delta, [i for i, c in enumerate(codims) if c == delta]
+
+
 def lefschetz_defect(X: ToricVariety) -> tuple[int, int]:
     """(delta, witness ray index).
 
     delta is the maximum over invariant prime divisors D of the
     codimension of the span of the wall-curve classes inside D; for
     toric varieties the maximum over invariant divisors computes the
-    defect over all prime divisors.
+    defect over all prime divisors.  The witness is the first ray
+    attaining it.
     """
-    delta, witness = -1, -1
-    for i in range(X.n_rays):
-        classes = [
-            list(w.curve_class.coords) for w in X.walls if i in w.shared
-        ]
-        codim = X.rho - rational_rank(classes)
-        if codim > delta:
-            delta, witness = codim, i
-    return delta, witness
+    delta, witnesses = _defect_witnesses(X)
+    return delta, witnesses[0]
 
 
 def lefschetz_witnesses(X: ToricVariety) -> list[int]:
-    delta, _ = lefschetz_defect(X)
-    out = []
-    for i in range(X.n_rays):
-        classes = [list(w.curve_class.coords) for w in X.walls if i in w.shared]
-        if X.rho - rational_rank(classes) == delta:
-            out.append(i)
-    return out
+    """Every ray whose divisor attains the Lefschetz defect."""
+    return _defect_witnesses(X)[1]
 
 
 # -- bound assertions --------------------------------------------------
@@ -489,12 +484,12 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
     and excluded (they lead to models outside the simplicial category).
     """
     suite = cone_suite(X)
-    start_key = X.fan.canonical_key()
-    nodes: dict[tuple, ToricVariety] = {start_key: X}
+    position: dict[tuple, int] = {X.fan.canonical_key(): 0}
+    fans: list[Fan] = [X.fan]
     chambers: dict[tuple, RationalCone] = {}
     adjacency: list[tuple[int, int, IntVec]] = []
+    edges: set[tuple[int, int]] = set()
     excluded: list[str] = []
-    order: list[tuple] = [start_key]
     frontier = [X]
     while frontier:
         nxt = []
@@ -522,18 +517,18 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     excluded.append(str(e))
                     continue
                 fkey = flipped.fan.canonical_key()
-                if fkey not in nodes:
-                    if len(nodes) >= max_chambers:
+                if fkey not in position:
+                    if len(fans) >= max_chambers:
                         raise MoriError("chamber enumeration exceeded the cap")
-                    nodes[fkey] = flipped
-                    order.append(fkey)
+                    position[fkey] = len(fans)
+                    fans.append(flipped.fan)
                     nxt.append(flipped)
-                i, j = order.index(key), order.index(fkey)
-                if (j, i) not in {(a, b) for a, b, _ in adjacency}:
+                i, j = position[key], position[fkey]
+                if (j, i) not in edges:
+                    edges.add((i, j))
                     adjacency.append((i, j, c.coords))
         frontier = nxt
-    fans = [nodes[k].fan for k in order]
-    chamber_list = [chambers[k] for k in order]
+    chamber_list = [chambers[k] for k in position]
     for a, b in combinations(range(len(chamber_list)), 2):
         inter = chamber_list[a].intersect(chamber_list[b])
         if inter.dim >= X.rho:

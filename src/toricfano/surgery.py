@@ -195,10 +195,9 @@ class FlipCircuit:
     negative: tuple[int, ...]
 
 
-def _proportional_positive(a: Sequence[int], b: Sequence[int]) -> bool:
-    if all(x == 0 for x in a) or all(x == 0 for x in b):
-        return False
-    return primitive_vector(a) == primitive_vector(b)
+def _is_flippable_pattern(relation: IntVec) -> bool:
+    """Five unit coefficients split 3 against 2."""
+    return sorted(c for c in relation if c) in ([-1, -1, 1, 1, 1], [-1, -1, -1, 1, 1])
 
 
 def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> list[FlipCircuit]:
@@ -206,27 +205,23 @@ def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> l
     checking the five-ray unit-coefficient pattern."""
     _require_4fold(X)
     coords = curve.coords if isinstance(curve, CurveClass) else tuple(curve)
-    on_ray = [w for w in X.walls if _proportional_positive(w.curve_class.coords, coords)]
-    if not on_ray:
+    indices = X.walls_by_class.get(primitive_vector(coords)) if any(coords) else None
+    if indices is None:
         raise SurgeryError(f"no wall curve on the ray of {coords}")
     by_support: dict[tuple[int, ...], list[Wall]] = {}
-    for w in on_ray:
-        by_support.setdefault(w.circuit_support, []).append(w)
+    for i in indices:
+        by_support.setdefault(X.walls[i].circuit_support, []).append(X.walls[i])
     circuits = []
     for support, ws in sorted(by_support.items()):
         rel = ws[0].relation
         if any(w.relation != rel for w in ws):
             raise SurgeryError(f"inconsistent relations on circuit {list(support)}")
-        pos = tuple(i for i in support if rel[i] > 0)
-        neg = tuple(i for i in support if rel[i] < 0)
-        if sorted(abs(rel[i]) for i in support) != [1, 1, 1, 1, 1] or {
-            len(pos),
-            len(neg),
-        } != {2, 3}:
+        if not _is_flippable_pattern(rel):
             raise SurgeryError(
                 f"circuit {list(support)} with relation {list(rel)} is not the "
                 "flippable five-ray unit pattern"
             )
+        pos, neg = ws[0].positive_rays, ws[0].negative_rays
         if len(ws) != (3 if len(pos) == 3 else 1):
             raise SurgeryError(
                 f"circuit {list(support)} has {len(ws)} walls on the ray, "
@@ -414,20 +409,12 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
         )
     if all(len(n) >= 2 for n in negatives):
         exc = tuple(sorted({i for n in negatives for i in n}))
-        flippable = True
-        for w in walls_on_ray:
-            pos, neg = w.positive_rays, w.negative_rays
-            if (
-                sorted(abs(c) for c in w.relation if c) != [1, 1, 1, 1, 1]
-                or {len(pos), len(neg)} != {2, 3}
-            ):
-                flippable = False
         return ContractionDescriptor(
             kind="small",
             type_label=None,
             exc_rays=exc,
             image_dim=0,
-            flippable=flippable,
+            flippable=all(_is_flippable_pattern(w.relation) for w in walls_on_ray),
             relation_sample=rel_sample,
         )
     raise SurgeryError(
@@ -447,12 +434,8 @@ def extremal_rays(X: ToricVariety) -> list[tuple[CurveClass, ContractionDescript
         raise SurgeryError("fan is not projective: nef cone has empty interior")
     out = []
     for g in ne.generators:
-        ws = [w for w in X.walls if _proportional_positive(w.curve_class.coords, g)]
-        if not ws:
+        indices = X.walls_by_class.get(g)
+        if indices is None:
             raise SurgeryError(f"extremal class {g} carries no wall")
-        out.append((CurveClass(g), _analyze_walls_on_ray(X, ws)))
+        out.append((CurveClass(g), _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
     return out
-
-
-def anticanonical_wall_degrees(X: ToricVariety) -> dict[Wall, int]:
-    return {w: w.degK for w in X.walls}

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
-from .lattice import dot, integer_kernel, solve_integer
+from .lattice import dot, integer_kernel, primitive_vector, solve_integer
 from .ledger import LedgerState
 
 IntVec = tuple[int, ...]
@@ -295,6 +295,17 @@ class ToricVariety:
                 )
             )
         return tuple(out)
+
+    @cached_property
+    def walls_by_class(self) -> dict[IntVec, tuple[int, ...]]:
+        """Indices into ``walls``, ascending, keyed by the primitive curve
+        class of the wall: the walls on each ray of the cone of curves.
+        Walls of class zero (flagged singular fans) are left out."""
+        out: dict[IntVec, list[int]] = {}
+        for i, w in enumerate(self.walls):
+            if any(w.curve_class.coords):
+                out.setdefault(primitive_vector(w.curve_class.coords), []).append(i)
+        return {c: tuple(ix) for c, ix in out.items()}
 
     @cached_property
     def is_fano(self) -> bool:

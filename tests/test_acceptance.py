@@ -17,17 +17,16 @@ from toricfano.ledger import (
     apply_point_blowup,
     h0_bound_rho1,
     max_point_blowups,
-    run_script,
 )
-from toricfano.library import builtin, r3_tower_search
+from toricfano.library import builtin
 from toricfano.mori import (
     classified_fixed_divisors,
     cone_suite,
     lefschetz_defect,
-    mmp_all_for_divisor,
     mori_chambers,
     verify_bounds,
 )
+from toricfano.replays import REPLAYS, Checklist
 from toricfano.surgery import blowup, contract, extremal_rays, flip
 from toricfano.variety import ToricVariety
 
@@ -36,6 +35,12 @@ CORPUS = ["P4", "P1xP3", "P2xP2", "F2xP2", "Bl_pt_P4", "D3", "B511", "Y_tower", 
 
 def _report(n: int, message: str) -> None:
     print(f"ACCEPTANCE {n:>2}: PASS  {message}")
+
+
+def _assert_replay(name: str) -> None:
+    cl = Checklist()
+    REPLAYS[name](cl)
+    assert cl.ok, f"replay {name} failed: {[d for d, p in cl.items if not p]}"
 
 
 def test_criterion_01_point_blowup_deltas():
@@ -50,12 +55,7 @@ def test_criterion_01_point_blowup_deltas():
 
 
 def test_criterion_02_ledger_chain_eight_points_then_flip():
-    steps = run_script("start P4\n" + "blowup point\n" * 8 + "flip dir=s2f s=36\n")
-    assert steps[0].state.as_tuple() == (126, 625, 250, 1)
-    mid = steps[8].state
-    assert mid.chi_minusK == 6 and mid.degK4 == -23
-    final = steps[-1].state
-    assert final.degK4 == 13 and final.chi_minusK == 6 and final.rho == 9
+    _assert_replay("ex61_ledger")
     _report(2, "ledger chain 625 -> -23 -> 13 with chi = h0 = 6 and rho = 9")
 
 
@@ -77,48 +77,17 @@ def test_criterion_04_h0_bound_table():
 
 
 def test_criterion_05_section_with_two_divisorial_types():
-    X = builtin("B511")
-    section = 0
-    from toricfano.mori import classify_fixed_divisor, fixed_prime_divisors
-
-    fixed = [r for r in fixed_prime_divisors(X) if r.ray_index == section]
-    assert fixed, "section divisor must be fixed"
-    labels = {
-        d.type_label
-        for _, d in extremal_rays(X)
-        if d.kind == "divisorial" and d.exc_rays == (section,)
-    }
-    assert labels == {"(3,1)^sm", "(3,2)^sm"}
-    rep = classify_fixed_divisor(X, fixed[0])
-    assert set(rep.outcomes) == {"(3,1)^sm", "(3,2)^sm"}
+    _assert_replay("ex511")
     _report(5, "P(O+O(1,1)) section carries both a (3,1)^sm and a (3,2)^sm ray")
 
 
 def test_criterion_06_blowup_of_negative_section():
-    X = builtin("D3")
-    assert X.rho == 3
-    exc = X.n_rays - 1
-    traces = {
-        t.terminal_descriptor.type_label: t
-        for t in mmp_all_for_divisor(X, exc)
-        if t.outcome == "contracted"
-    }
-    assert set(traces) == {"(3,2)^sm", "(3,0)_other"}
-    assert traces["(3,2)^sm"].flip_count == 0
-    assert traces["(3,0)_other"].flip_count == 1
-    flipped = ToricVariety(traces["(3,0)_other"].steps[0].fan_after)
-    assert {w.relation[exc] for w in flipped.walls if w.relation[exc] < 0} == {-2}
+    _assert_replay("ex52")
     _report(6, "D3: direct (3,2)^sm MMP and flip-then-(3,0) MMP with E.C = -2")
 
 
 def test_criterion_07_two_point_tower_search():
-    tower = r3_tower_search()
-    assert tower.flips == 3
-    X = tower.fano
-    assert X.is_fano and X.rho == 5
-    reports = classified_fixed_divisors(X)
-    assert len(reports) == 6
-    assert [r.type_label for r in reports].count("(3,0)^sm") == 2
+    _assert_replay("ex62")
     _report(7, "tower search: 3 flips to a Fano with rho 5, 6 fixed divisors, two (3,0)^sm")
 
 

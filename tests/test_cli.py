@@ -217,16 +217,32 @@ def test_contract_singular_flag(capsys, registry):
     assert json.loads(out)["smooth_result"] is False
 
 
+def test_flip_class_zero_and_non_primitive(capsys, registry):
+    code, out, err = run(capsys, "--registry", registry, "flip", "D3", "--class", "0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no wall curve on the ray" in err
+    hashes = []
+    for cls, name in (("0,-1,0", "unit"), ("0,-2,0", "double")):
+        code, out, _ = run(
+            capsys, "--registry", registry, "--json",
+            "flip", "D3", "--class", cls, "--as", name,
+        )
+        assert code == 0
+        hashes.append(json.loads(out)["output_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_replay_ex61(capsys, registry):
     code, out, _ = run(capsys, "--registry", registry, "replay", "ex61_ledger")
     assert code == 0
-    assert out.count("pass  ") == 4
+    assert out.count("pass  ") == 5
     assert "all checks passed" in out
 
     code, out, _ = run(capsys, "--registry", registry, "--json", "replay", "ex61_ledger")
     obj = json.loads(out)
     assert obj["ok"] is True
-    assert len(obj["checks"]) == 4
+    assert len(obj["checks"]) == 5
 
 
 def test_registry_names_unique(capsys, registry):

@@ -1,9 +1,11 @@
 import pytest
 
 from toricfano.fan import Fan
-from toricfano.lattice import dot
+from toricfano.lattice import dot, primitive_vector
 from toricfano.library import (
     bl_pt_p4,
+    builtin,
+    builtin_names,
     bundle_over_p1xp2_O11,
     bundle_over_p2_O_O1_O2,
     d3,
@@ -11,18 +13,21 @@ from toricfano.library import (
     p4,
     plane_blowup_tower_base,
 )
+from toricfano.mori import _negative_candidates
 from toricfano.surgery import (
+    FlipCircuit,
     SurgeryError,
-    anticanonical_wall_degrees,
+    _analyze_walls_on_ray,
     blowup,
     contract,
     divisor_link_fan,
     extremal_rays,
     flip,
+    flip_circuits,
     looks_like_quadric_cone,
     ne_cone,
 )
-from toricfano.variety import ToricVariety
+from toricfano.variety import CurveClass, ToricVariety
 
 
 def test_blowup_p4_at_point():
@@ -104,8 +109,7 @@ def test_ne_cone_p4():
 
 
 def test_anticanonical_wall_degrees_p4():
-    degs = anticanonical_wall_degrees(p4())
-    assert set(degs.values()) == {5}
+    assert {w.degK for w in p4().walls} == {5}
 
 
 def test_bundle_511_section_normal_degrees():
@@ -268,8 +272,7 @@ def test_tower_intermediate_wall_degrees():
 
     Y = plane_blowup_tower_base()
     tower = two_point_tower(Y, (Y.fan.max_cones[0], Y.fan.max_cones[6]))
-    degrees = anticanonical_wall_degrees(tower.blown_up)
-    assert min(degrees.values()) == -1
+    assert min(w.degK for w in tower.blown_up.walls) == -1
     from itertools import combinations as _pairs
 
     current = tower.blown_up
@@ -317,3 +320,70 @@ def test_mmp_routes_honor_chosen_contraction_center():
     assert set(traces) == {"(3,1)^sm", "(3,2)^sm"}
     finals = {label: t.final.canonical_key() for label, t in traces.items()}
     assert finals["(3,1)^sm"] != finals["(3,2)^sm"]
+
+
+# -- the wall-by-class index against the scan it replaced --------------
+
+
+def _proportional_positive(a, b):
+    """Reference: the per-wall test every walls-on-a-ray search made."""
+    if all(x == 0 for x in a) or all(x == 0 for x in b):
+        return False
+    return primitive_vector(a) == primitive_vector(b)
+
+
+def _walls_on_ray(X, coords):
+    return [w for w in X.walls if _proportional_positive(w.curve_class.coords, coords)]
+
+
+def _reference_circuits(X, coords):
+    by_support = {}
+    for w in _walls_on_ray(X, coords):
+        by_support.setdefault(w.circuit_support, w)
+    return [
+        FlipCircuit(s, w.positive_rays, w.negative_rays)
+        for s, w in sorted(by_support.items())
+    ]
+
+
+def _reference_negative_candidates(X, vec):
+    coords = X.divisor_class(vec).coords
+    wall_index = {w: i for i, w in enumerate(X.walls)}
+    out = []
+    for c, desc in extremal_rays(X):
+        pairing = dot(coords, c.coords)
+        if pairing < 0:
+            first = min(wall_index[w] for w in _walls_on_ray(X, c.coords))
+            out.append((pairing, first, c, desc))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return out
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_extremal_rays_match_the_wall_scan(name):
+    X = builtin(name)
+    gens = ne_cone(X).generators
+    reference = [
+        (CurveClass(g), _analyze_walls_on_ray(X, _walls_on_ray(X, g))) for g in gens
+    ]
+    assert extremal_rays(X) == reference
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_flip_circuits_match_the_wall_scan(name):
+    X = builtin(name)
+    for c, d in extremal_rays(X):
+        if d.kind != "small" or not d.flippable:
+            continue
+        reference = _reference_circuits(X, c.coords)
+        assert flip_circuits(X, c) == reference
+        assert flip_circuits(X, [2 * x for x in c.coords]) == reference
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_negative_candidates_match_the_wall_scan(name):
+    X = builtin(name)
+    divisors = [[int(i == r) for i in range(X.n_rays)] for r in range(X.n_rays)]
+    divisors.append([-1] * X.n_rays)
+    for vec in divisors:
+        assert _negative_candidates(X, vec) == _reference_negative_candidates(X, vec)

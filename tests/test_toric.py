@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import toricfano
 from toricfano.fan import (
     Fan,
     ValidationError,
@@ -330,6 +335,33 @@ def test_walls_on_singular_fan_keep_non_unit_coefficients():
     Z = _singular_contraction_of_flipped_d3()
     assert not Z.is_smooth
     assert any(max(abs(x) for x in w.relation) > 1 for w in Z.walls)
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["singular contraction"])
+def test_walls_by_class_indexes_each_nonzero_wall_once(name):
+    if name == "singular contraction":
+        X = _singular_contraction_of_flipped_d3()
+        assert not X.is_smooth and X.walls
+    else:
+        X = builtin(name)
+    indexed = sorted(i for ix in X.walls_by_class.values() for i in ix)
+    assert indexed == [i for i, w in enumerate(X.walls) if any(w.curve_class.coords)]
+    for cls, ix in X.walls_by_class.items():
+        assert list(ix) == sorted(ix)
+        assert all(primitive_vector(X.walls[i].curve_class.coords) == cls for i in ix)
+
+
+def test_library_imports_first_in_a_fresh_interpreter():
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import toricfano.library as m; print(m.builtin('P4').rho)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
 
 
 def test_curve_class_from_relation_rejects_non_relations():
