@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .fan import ValidationError, fan_from_json, fan_to_json, validate
+from .fan import Fan, ValidationError, fan_from_json, fan_to_json, validate
 from .ledger import LedgerError, run_script
 from .library import builtin, builtin_names
 from .mori import (
@@ -82,12 +82,7 @@ class Session:
         return X
 
     def _load_path(self, path: Path, allow_singular: bool) -> ToricVariety:
-        if not path.exists():
-            raise CliError(f"no such file: {path}")
-        try:
-            fan = fan_from_json(path.read_text())
-        except ValidationError as e:
-            raise CliError(f"{path}: {e}") from None
+        fan = _read_fan(path)
         try:
             return ToricVariety(fan, allow_singular=allow_singular, name=path.stem)
         except ValidationError:
@@ -139,22 +134,20 @@ def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
         raise CliError(f"{what} must be a comma-separated list of integers") from None
 
 
+def _read_fan(path: Path) -> Fan:
+    if not path.exists():
+        raise CliError(f"no such file: {path}")
+    try:
+        return fan_from_json(path.read_text())
+    except (OSError, UnicodeDecodeError, ValidationError) as e:
+        raise CliError(f"{path}: {e}") from None
+
+
 # -- commands -----------------------------------------------------------
 
 
 def cmd_validate(session: Session, args) -> int:
-    path = Path(args.path)
-    if not path.exists():
-        raise CliError(f"no such file: {path}")
-    try:
-        fan = fan_from_json(path.read_text())
-    except ValidationError as e:
-        if args.json:
-            _emit_json({"ok": False, "error": str(e)})
-        else:
-            print(f"parse error: {e}")
-        return EXIT_INPUT_ERROR
-    report = validate(fan)
+    report = validate(_read_fan(Path(args.path)))
     if args.json:
         _emit_json(report.as_dict())
     else:
@@ -162,7 +155,8 @@ def cmd_validate(session: Session, args) -> int:
             mark = "pass" if c.passed else "FAIL"
             detail = f"  ({c.detail})" if c.detail else ""
             print(f"{c.name:<20} {mark}{detail}")
-    return EXIT_OK if report.ok else EXIT_INPUT_ERROR
+    report.raise_if_failed()
+    return EXIT_OK
 
 
 def cmd_info(session: Session, args) -> int:

@@ -3,9 +3,11 @@
 A ``Fan`` is a list of primitive ray generators plus maximal cones given
 as index sets.  Validation checks, in order: structural sanity,
 primitivity of the rays, unimodularity of every maximal cone
-(smoothness), pairwise intersection in common faces, and completeness
-(every facet of a maximal cone is shared by exactly one other maximal
-cone, and the facet-adjacency graph is connected).
+(smoothness), face compatibility and completeness.  The last two are
+the characterisation of a complete simplicial fan read on the sphere
+(De Loera-Rambau-Santos, *Triangulations*, ch. 4): every ridge lies in
+exactly two maximal cones whose opposite rays lie strictly on opposite
+sides of it, and one generic point lies in exactly one maximal cone.
 
 The JSON wire format is
 ``{"dim": n, "rays": [[int,...],...], "max_cones": [[indices],...]}``
@@ -20,10 +22,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
-from .lattice import _row_reduce, det_int, primitive_vector, vector_gcd
+from .lattice import _row_reduce, det_int, dot, primitive_vector, vector_gcd
 
 IntVec = tuple[int, ...]
 
@@ -234,41 +235,47 @@ def _cone_inward_normals(fan: Fan, cone: Sequence[int]) -> list[IntVec]:
     return rows
 
 
-def _pair_intersects_in_common_face(
-    fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], normals: dict
-) -> bool:
-    shared = sorted(set(c1) & set(c2))
-    for cone, other in ((c1, c2), (c2, c1)):
-        rows = normals[cone]
-        idx = {r: k for k, r in enumerate(cone)}
-        h = [0] * fan.dim
-        for r in cone:
-            if r not in shared:
-                row = rows[idx[r]]
-                h = [a + b for a, b in zip(h, row)]
-        # h >= 0 on `cone`, tight exactly on the shared rays there.
-        if all(
-            sum(h[t] * fan.rays[j][t] for t in range(fan.dim)) < 0
-            for j in other
-            if j not in shared
-        ):
-            return True
-    # Fall back to an exact double-description intersection.
-    from .cones import RationalCone
+def _same_side_pair(
+    fan: Fan, ridge: tuple[int, ...], cones: list[tuple[int, ...]], normals: dict
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two of ``cones`` whose rays off ``ridge`` lie on the same side of
+    it, or None.  The first cone's normal row for its ray off the ridge
+    vanishes on the ridge, so one dot product places each other ray."""
+    c1 = cones[0]
+    k = next(k for k, i in enumerate(c1) if i not in ridge)
+    n = normals[c1][k]
+    for c2 in cones[1:]:
+        if dot(n, fan.rays[next(i for i in c2 if i not in ridge)]) > 0:
+            return c1, c2
+    # Every other cone is on the far side; with two of them, they share it.
+    return (cones[1], cones[2]) if len(cones) > 2 else None
 
-    inter = RationalCone.from_inequalities(
-        list(normals[c1]) + list(normals[c2]), fan.dim
-    )
-    expected = RationalCone.from_generators(
-        [fan.rays[i] for i in shared], fan.dim
-    )
-    return inter == expected
+
+def _covering_cones(fan: Fan, normals: dict) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A point p inside the first maximal cone and off every facet
+    hyperplane, and the maximal cones containing it.  p = sum_k N^k u_k
+    over that cone's rays, with N > 1 + |n|_1 max|u_k|_inf >= 1 + |n . u_k|
+    for every normal n, so each n . p is a base-N expansion with some
+    nonzero digit."""
+    base = [fan.rays[i] for i in fan.max_cones[0]]
+    norm = max(sum(map(abs, n)) for rows in normals.values() for n in rows)
+    big = 2 + norm * max(abs(x) for u in base for x in u)
+    p = [sum(big**k * u[t] for k, u in enumerate(base)) for t in range(fan.dim)]
+    return p, [c for c in fan.max_cones if all(dot(n, p) > 0 for n in normals[c])]
 
 
 @lru_cache(maxsize=1024)
 def validate(fan: Fan) -> ValidationReport:
     """Full validation: structure, primitivity, smoothness,
     face-compatibility, completeness.
+
+    Face compatibility fails on a ridge of ``fan.facets()`` with two
+    maximal cones on the same side of it, or on a generic point inside
+    two maximal cones; completeness then fails on a ridge in one cone.
+    With two cones on opposite sides of every ridge, the cones cover
+    every generic point equally often, so one point covered once proves
+    the fan complete and face-compatible (two disjoint complete fans
+    cover it twice).
 
     Cached on the fan; 1024 entries hold every distinct fan a chamber
     walk or an exhaustive MMP on the builtins visits, with room to spare.
@@ -318,55 +325,32 @@ def validate(fan: Fan) -> ValidationReport:
             return ValidationReport(tuple(checks))
 
     normals = {c: _cone_inward_normals(fan, c) for c in fan.max_cones}
-
-    bad_pair = None
-    for c1, c2 in combinations(fan.max_cones, 2):
-        if not _pair_intersects_in_common_face(fan, c1, c2, normals):
-            bad_pair = (c1, c2)
+    facet_map = fan.facets()
+    bad = ""
+    for ridge, cones in facet_map.items():
+        pair = _same_side_pair(fan, ridge, cones, normals) if len(cones) > 1 else None
+        if pair is not None:
+            bad = f"cones {list(pair[0])} and {list(pair[1])} lie on the same side of ridge {list(ridge)}"
+            if len(cones) > 2:
+                bad = f"facet {list(ridge)} lies in {len(cones)} maximal cones; {bad}"
             break
-    checks.append(
-        CheckResult(
-            "face_compatibility",
-            bad_pair is None,
-            ""
-            if bad_pair is None
-            else f"cones {list(bad_pair[0])} and {list(bad_pair[1])} do not meet in a common face",
-        )
-    )
-    if bad_pair is not None:
+    if not bad:
+        p, cover = _covering_cones(fan, normals)
+        if len(cover) > 1:
+            bad = f"point {p} lies in {len(cover)} maximal cones: " + ", ".join(
+                str(list(c)) for c in cover
+            )
+    checks.append(CheckResult("face_compatibility", not bad, bad))
+    if bad:
         return ValidationReport(tuple(checks))
 
-    facet_map = fan.facets()
-    bad_facet = next(
-        ((f, len(cs)) for f, cs in facet_map.items() if len(cs) != 2), None
-    )
-    connected = True
-    if bad_facet is None and fan.max_cones:
-        adj: dict[tuple[int, ...], set[tuple[int, ...]]] = {
-            c: set() for c in fan.max_cones
-        }
-        for cs in facet_map.values():
-            adj[cs[0]].add(cs[1])
-            adj[cs[1]].add(cs[0])
-        seen = {fan.max_cones[0]}
-        stack = [fan.max_cones[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected = len(seen) == len(fan.max_cones)
+    # Every ridge now lies in one or two cones.
+    open_ridge = next((f for f, cs in facet_map.items() if len(cs) == 1), None)
     checks.append(
         CheckResult(
             "completeness",
-            bad_facet is None and connected,
-            ""
-            if bad_facet is None and connected
-            else (
-                f"facet {list(bad_facet[0])} lies in {bad_facet[1]} maximal cones"
-                if bad_facet is not None
-                else "facet-adjacency graph is disconnected"
-            ),
+            open_ridge is None,
+            "" if open_ridge is None else f"facet {list(open_ridge)} lies in 1 maximal cones",
         )
     )
     return ValidationReport(tuple(checks))

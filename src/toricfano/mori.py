@@ -90,12 +90,14 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
         others = [c for j, c in enumerate(classes) if j != i]
         mov = mov.intersect(RationalCone.from_generators(others, X.rho))
     mov_curves = eff.dual()
+    h = X.fan.content_hash()
     if nef.dual() != ne:
-        raise InternalCheckError("duality failure: dual(Nef) != NE")
+        raise InternalCheckError(f"duality failure: dual(Nef) != NE on fan {h}")
     if eff.dual() != mov_curves:
-        raise InternalCheckError("duality failure: dual(Eff) != mov")
-    if not mov.contains_cone(nef) or not eff.contains_cone(mov):
-        raise InternalCheckError("cone chain Nef <= Mov <= Eff violated")
+        raise InternalCheckError(f"duality failure: dual(Eff) != mov on fan {h}")
+    for small, big, names in ((nef, mov, "Nef <= Mov"), (mov, eff, "Mov <= Eff")):
+        if not big.contains_cone(small):
+            raise InternalCheckError(f"cone chain Nef <= Mov <= Eff violated on fan {h}: not {names}")
     return ConeSuite(nef=nef, mov=mov, eff=eff, ne=ne, mov_curves=mov_curves)
 
 
@@ -320,6 +322,7 @@ def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
         if len(matches) != 1:
             raise InternalCheckError(
                 f"effective face {g} carried by {len(matches)} invariant divisors"
+                f" on fan {X.fan.content_hash()}"
             )
         i = matches[0]
         reports.append(
@@ -358,6 +361,7 @@ def classify_fixed_divisor(
     if X.rho >= 6 and len(labels) > 1:
         raise InternalCheckError(
             f"rho = {X.rho} >= 6 but the MMP outcome is not unique: {labels}"
+            f" for the divisor of ray {r} on fan {X.fan.content_hash()}"
         )
     terminal = default.steps[-1]
     c_d = terminal.curve_class
@@ -500,8 +504,11 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
             weight = nef.interior_point()
             reconstructed = _triangulation_from_weight(node, weight)
             if reconstructed != frozenset(node.fan.max_cones):
+                diff = sorted(reconstructed ^ frozenset(node.fan.max_cones))
                 raise InternalCheckError(
-                    "weight-selected triangulation disagrees with the fan of its chamber"
+                    "weight-selected triangulation disagrees with the fan of its chamber:"
+                    f" chamber {position[key]} (fan {node.fan.content_hash()}) of fan"
+                    f" {X.fan.content_hash()}, weight {list(weight)}, cones {[list(c) for c in diff]}"
                 )
             for c, desc in extremal_rays(node):
                 if desc.kind != "small":
@@ -529,13 +536,14 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     adjacency.append((i, j, c.coords))
         frontier = nxt
     chamber_list = [chambers[k] for k in position]
+    h = X.fan.content_hash()
     for a, b in combinations(range(len(chamber_list)), 2):
         inter = chamber_list[a].intersect(chamber_list[b])
         if inter.dim >= X.rho:
-            raise InternalCheckError("chamber interiors overlap")
-    for ch in chamber_list:
+            raise InternalCheckError(f"chamber interiors overlap: chambers {a} and {b} of fan {h}")
+    for k, ch in enumerate(chamber_list):
         if not suite.mov.contains_cone(ch):
-            raise InternalCheckError("chamber escapes the movable cone")
+            raise InternalCheckError(f"chamber escapes the movable cone: chamber {k} of fan {h}")
     if not excluded:
         # Coverage: with disjoint interiors, the union is all of Mov iff
         # no chamber has a free interior facet.
@@ -549,7 +557,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                 ):
                     raise InternalCheckError(
                         "movable cone not covered: facet point "
-                        f"{list(p)} belongs to a single chamber"
+                        f"{list(p)} belongs to a single chamber of fan {h}"
                     )
     else:
         excluded.append("coverage of the movable cone not verified (walls excluded)")

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
-from .lattice import dot, integer_kernel, primitive_vector, solve_integer
+from .lattice import dot, hermite_normal_form, integer_kernel, primitive_vector, transpose
 from .ledger import LedgerState
 
 IntVec = tuple[int, ...]
@@ -164,15 +164,16 @@ class ToricVariety:
 
     @cached_property
     def _section(self) -> list[IntVec]:
-        """Columns: integer right inverse of the curve-basis matrix."""
-        cols = []
-        for a in range(self.rho):
-            rhs = [1 if b == a else 0 for b in range(self.rho)]
-            col = solve_integer([list(k) for k in self.curve_basis], rhs)
-            if col is None:
-                raise ValidationError("class lattice is not saturated")
-            cols.append(col)
-        return cols
+        """Columns: integer right inverse of the curve-basis matrix K.
+
+        One row HNF U K^T = H: the class lattice is saturated exactly
+        when the top rho x rho block of H is the identity, and then the
+        first rho rows of U are columns s_a with K s_a = e_a.
+        """
+        h, u = hermite_normal_form(transpose(self.curve_basis))
+        if any(h[i][j] != (i == j) for i in range(self.rho) for j in range(self.rho)):
+            raise ValidationError("class lattice is not saturated")
+        return [tuple(u[a]) for a in range(self.rho)]
 
     def class_group(self) -> tuple[int, tuple[IntVec, ...], list[list[int]]]:
         """(rho, divisor-class map, curve pairing matrix).

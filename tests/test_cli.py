@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fan_corruptions import BUILTIN_FANS, corrupted_fans, fan_object
 from toricfano.cli import main
 from toricfano.fan import fan_to_json
 from toricfano.library import p4
@@ -45,16 +50,18 @@ def test_validate_good_and_bad(capsys, registry, tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, out, _ = run(capsys, "--registry", registry, "validate", str(bad))
+    code, out, err = run(capsys, "--registry", registry, "validate", str(bad))
     assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and "invalid JSON" in err
 
     incomplete = tmp_path / "incomplete.json"
     obj = json.loads(fan_to_json(p4().fan))
     obj["max_cones"] = obj["max_cones"][1:]
     incomplete.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "--registry", registry, "validate", str(incomplete))
+    code, out, err = run(capsys, "--registry", registry, "validate", str(incomplete))
     assert code == 2
     assert "completeness" in out
+    assert err.splitlines() == ["error: completeness: facet [0, 1, 2] lies in 1 maximal cones"]
 
 
 @pytest.mark.parametrize("top", ["null", "[1, 2]", '"dim"', "4"])
@@ -338,3 +345,59 @@ def test_replay_failure_exit_code(capsys, registry, monkeypatch):
     code, out, _ = run(capsys, "--registry", registry, "replay", "ex52")
     assert code == 1
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def malformed_fan_objects(draw):
+    """Builtin fan JSON with a field missing, mistyped or out of range."""
+    obj = fan_object(BUILTIN_FANS[draw(st.sampled_from(sorted(BUILTIN_FANS)))])
+    rays, cones = obj["rays"], obj["max_cones"]
+    kind = draw(st.sampled_from(["drop", "retype", "dim", "ray", "entry", "index", "labels"]))
+    if kind == "drop":
+        del obj[draw(st.sampled_from(["dim", "rays", "max_cones"]))]
+    elif kind == "retype":
+        obj[draw(st.sampled_from(["dim", "rays", "max_cones"]))] = draw(json_values)
+    elif kind == "dim":
+        obj["dim"] = draw(st.integers(-2, 8))
+    elif kind == "ray":
+        i = draw(st.integers(0, len(rays) - 1))
+        rays[i] = rays[i][:-1] if draw(st.booleans()) else rays[i] + [0]
+    elif kind == "entry":
+        target = draw(st.sampled_from([rays, cones]))
+        row = target[draw(st.integers(0, len(target) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(json_values)
+    elif kind == "index":
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        cone[draw(st.integers(0, len(cone) - 1))] = draw(st.integers(-3, len(rays) + 3))
+    else:
+        obj["labels"] = draw(json_values | st.dictionaries(st.text(max_size=3), json_values, max_size=3))
+    return obj
+
+
+fan_texts = (
+    st.one_of(malformed_fan_objects(), corrupted_fans(), json_values).map(json.dumps).map(str.encode)
+    | st.binary(max_size=40)
+)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fan_texts, st.sampled_from(["validate", "info"]), st.booleans())
+def test_front_door_fuzz_ends_in_a_documented_exit(tmp_path_factory, data, command, as_json):
+    path = tmp_path_factory.mktemp("fuzz") / "fan.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--registry", str(path.parent / "reg")] + (["--json"] if as_json else []) + [command, str(path)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].strip(), err.getvalue()
+        assert "Traceback" not in err.getvalue()

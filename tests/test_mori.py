@@ -217,3 +217,29 @@ def test_mmp_step_cap_diagnostic():
     exc = X.n_rays - 1
     with pytest.raises(MoriError):
         mmp_for_divisor(X, exc, max_steps=0)
+
+
+def test_internal_check_failures_name_the_fan(monkeypatch, capsys, tmp_path):
+    from toricfano import mori
+    from toricfano.cli import main
+
+    X = d3()
+    h = X.fan.content_hash()
+    monkeypatch.setattr(mori, "_triangulation_from_weight", lambda node, w: frozenset())
+    with pytest.raises(mori.InternalCheckError) as e:
+        mori_chambers(X)
+    assert f"chamber 0 (fan {h}) of fan {h}" in str(e.value)
+    assert str(e.value).endswith("cones " + str([list(c) for c in sorted(X.fan.max_cones)]))
+
+    assert main(["--registry", str(tmp_path), "chambers", "D3"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and h in err
+
+
+def test_cone_chain_failure_names_the_fan(monkeypatch):
+    from toricfano import mori
+
+    X = p2xp2()
+    monkeypatch.setattr(RationalCone, "contains_cone", lambda self, other: False)
+    with pytest.raises(mori.InternalCheckError, match=f"on fan {X.fan.content_hash()}: not Nef <= Mov"):
+        cone_suite(X)

@@ -7,8 +7,11 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import toricfano
+from fan_corruptions import BUILTIN_FANS, corrupted_fans
+from toricfano.cones import RationalCone
 from toricfano.fan import (
     Fan,
     ValidationError,
@@ -17,7 +20,7 @@ from toricfano.fan import (
     fan_to_json,
     validate,
 )
-from toricfano.lattice import primitive_vector, solve_rational
+from toricfano.lattice import primitive_vector, solve_integer, solve_rational
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -75,6 +78,190 @@ def test_overlapping_cones_fail_face_compatibility():
     cones = [[0, 1], [0, 2], [1, 4], [4, 3], [3, 5], [5, 0]]
     report = validate(Fan.make(2, rays, cones))
     assert not report.ok
+
+
+def _reference_pair_meets_in_common_face(fan, c1, c2, normals):
+    """The pairwise test ``validate`` used before: a separating hyperplane
+    built from the inward normals, else an exact DD intersection."""
+    shared = sorted(set(c1) & set(c2))
+    for cone, other in ((c1, c2), (c2, c1)):
+        h = [0] * fan.dim
+        for k, r in enumerate(cone):
+            if r not in shared:
+                h = [a + b for a, b in zip(h, normals[cone][k])]
+        # h >= 0 on `cone`, tight exactly on the shared rays there.
+        if all(
+            sum(h[t] * fan.rays[j][t] for t in range(fan.dim)) < 0
+            for j in other
+            if j not in shared
+        ):
+            return True
+    inter = RationalCone.from_inequalities(list(normals[c1]) + list(normals[c2]), fan.dim)
+    expected = RationalCone.from_generators([fan.rays[i] for i in shared], fan.dim)
+    return inter == expected
+
+
+def _reference_face_checks(fan):
+    """First of face_compatibility/completeness to fail under the pairwise
+    reference (all C(m,2) pairs, then two cones per facet and a connected
+    facet-adjacency graph), or None when both pass."""
+    normals = {c: _cone_inward_normals(fan, c) for c in fan.max_cones}
+    for a, c1 in enumerate(fan.max_cones):
+        for c2 in fan.max_cones[a + 1 :]:
+            if not _reference_pair_meets_in_common_face(fan, c1, c2, normals):
+                return "face_compatibility"
+    facet_map = fan.facets()
+    if any(len(cs) != 2 for cs in facet_map.values()):
+        return "completeness"
+    adj = {c: set() for c in fan.max_cones}
+    for c1, c2 in facet_map.values():
+        adj[c1].add(c2)
+        adj[c2].add(c1)
+    seen, stack = {fan.max_cones[0]}, [fan.max_cones[0]]
+    while stack:
+        for nb in adj[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    return None if len(seen) == len(fan.max_cones) else "completeness"
+
+
+def _face_verdict(report):
+    """(reached the face checks, first of them to fail or None)."""
+    names = [c.name for c in report.checks]
+    degenerate = any(c.detail == "a maximal cone is degenerate" for c in report.checks)
+    first = next(
+        (c.name for c in report.checks if not c.passed and c.name in ("face_compatibility", "completeness")),
+        None,
+    )
+    return "face_compatibility" in names and not degenerate, first
+
+
+def _assert_matches_reference(fan):
+    reached, first = _face_verdict(validate(fan))
+    if not reached:
+        return
+    ref = _reference_face_checks(fan)
+    assert (first is None) == (ref is None), (first, ref)
+    if first == "face_compatibility" or all(len(cs) > 1 for cs in fan.facets().values()):
+        assert first == ref
+    # Otherwise validate names a ridge lying in one cone (the fan is not
+    # complete); the reference may have met an overlapping pair first.
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_fans())
+def test_validate_agrees_with_pairwise_reference_on_corrupted_fans(obj):
+    _assert_matches_reference(Fan.make(obj["dim"], obj["rays"], obj["max_cones"]))
+
+
+def test_validate_agrees_with_pairwise_reference_on_walked_fans(monkeypatch):
+    from toricfano import fan as fan_module
+    from toricfano.mori import classified_fixed_divisors, mori_chambers
+
+    seen = {}
+    original = fan_module.validate
+
+    def recording(fan):
+        seen[fan.canonical_key()] = fan
+        return original(fan)
+
+    monkeypatch.setattr(fan_module, "validate", recording)
+    for name in builtin_names():
+        X = builtin(name)
+        mori_chambers(X)
+        classified_fixed_divisors(X)
+    monkeypatch.undo()
+    assert len(seen) >= 40
+    for fan in seen.values():
+        # Singular contraction targets fail smoothness only.
+        assert _face_verdict(validate(fan)) == (True, None)
+        assert _reference_face_checks(fan) is None
+
+
+def _opposite(cone, ridge, fan):
+    return fan.rays[next(i for i in cone if i not in ridge)]
+
+
+def test_same_side_ridge_is_named():
+    # P4 with its last ray negated: the cones through the other four rays
+    # and the flipped ray now fold over the ridges they share.
+    f = projective_space_fan(4)
+    rays = [list(r) for r in f.rays]
+    rays[4] = [1, 1, 1, 1]
+    fan = Fan.make(4, rays, f.max_cones)
+    report = validate(fan)
+    check = report.checks[-1]
+    assert check.name == "face_compatibility" and not check.passed
+    assert _reference_face_checks(fan) == "face_compatibility"
+    detail = check.detail
+    assert "lie on the same side of ridge" in detail
+    cones_part, ridge_part = detail.split(" lie on the same side of ridge ")
+    c1, c2 = (tuple(json.loads(x)) for x in cones_part[len("cones ") :].split(" and "))
+    ridge = tuple(json.loads(ridge_part))
+    assert c1 in fan.max_cones and c2 in fan.max_cones
+    assert set(ridge) <= set(c1) and set(ridge) <= set(c2)
+    # The witness is real: some normal vanishing on the ridge is positive
+    # on both opposite rays.
+    k = next(k for k, i in enumerate(c1) if i not in ridge)
+    n = _cone_inward_normals(fan, c1)[k]
+    assert sum(a * b for a, b in zip(n, _opposite(c2, ridge, fan))) > 0
+
+
+def test_ridge_in_three_cones_is_named():
+    # A dim-2 fan whose ray 0 lies in three cones: two of them share a side.
+    rays = [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]]
+    cones = [[0, 1], [0, 2], [1, 3], [3, 4], [0, 4]]
+    report = validate(Fan.make(2, rays, cones))
+    check = report.checks[-1]
+    assert check.name == "face_compatibility" and not check.passed
+    assert check.detail == (
+        "facet [0] lies in 3 maximal cones; "
+        "cones [0, 1] and [0, 2] lie on the same side of ridge [0]"
+    )
+
+
+def _two_disjoint_copies(fan, m):
+    rays = [list(r) for r in fan.rays]
+    rays += [[sum(a * b for a, b in zip(row, r)) for row in m] for r in fan.rays]
+    off = fan.n_rays
+    cones = list(fan.max_cones) + [[off + i for i in c] for c in fan.max_cones]
+    return Fan.make(fan.dim, rays, cones)
+
+
+def test_double_cover_names_the_point_and_its_cones():
+    # Two copies of P2 in different coordinates: every ridge lies in two
+    # cones on opposite sides, but the plane is covered twice.
+    fan = _two_disjoint_copies(projective_space_fan(2), [[2, 1], [1, 1]])
+    report = validate(fan)
+    check = report.checks[-1]
+    assert check.name == "face_compatibility" and not check.passed
+    assert _reference_face_checks(fan) == "face_compatibility"
+    assert check.detail == "point [1, 7] lies in 2 maximal cones: [0, 1], [4, 5]"
+    for c in ([0, 1], [4, 5]):
+        assert all(sum(a * b for a, b in zip(n, [1, 7])) > 0 for n in _cone_inward_normals(fan, c))
+
+
+def test_double_cover_of_two_merged_4_folds():
+    pascal = [[1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 6, 10], [1, 4, 10, 20]]
+    fan = _two_disjoint_copies(BUILTIN_FANS["P1xP3"], pascal)
+    assert all(len(cs) == 2 for cs in fan.facets().values())
+    check = validate(fan).checks[-1]
+    assert check.name == "face_compatibility" and not check.passed
+    assert check.detail.startswith("point [") and "lies in 2 maximal cones" in check.detail
+
+
+def test_open_ridge_is_named_where_the_reference_finds_an_overlap():
+    # R3 with cone [2, 3, 5, 7] replaced by [2, 3, 6, 7]: the new cone
+    # overlaps [0, 2, 4, 6] but shares no ridge with it and misses the
+    # test point, so validate reports the ridge the old cone leaves open.
+    f = BUILTIN_FANS["R3"]
+    cones = [c if c != (2, 3, 5, 7) else (2, 3, 6, 7) for c in f.max_cones]
+    fan = Fan.make(4, f.rays, cones)
+    report = validate(fan)
+    assert [c.name for c in report.checks][-1] == "completeness"
+    assert report.checks[-1].detail == "facet [2, 5, 7] lies in 1 maximal cones"
+    assert fan.facets()[(2, 5, 7)] == [(0, 2, 5, 7)]
+    assert _reference_face_checks(fan) == "face_compatibility"
 
 
 def test_fan_json_round_trip():
@@ -377,6 +564,32 @@ def test_curve_class_from_relation_rejects_non_relations():
         X.curve_class_from_relation([Fraction(x, 2) for x in w.relation])
     with pytest.raises(ValueError):
         X.curve_class_from_relation(w.relation[:-1])
+
+
+def _reference_section(X):
+    """The section as solved before: one ``solve_integer`` per unit vector."""
+    basis = [list(k) for k in X.curve_basis]
+    return [solve_integer(basis, [int(b == a) for b in range(X.rho)]) for a in range(X.rho)]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_section_matches_per_column_solves(name):
+    from toricfano.mori import mori_chambers
+
+    X = builtin(name)
+    models = [ToricVariety(f, allow_singular=True) for f in mori_chambers(X).fans]
+    for Y in [X] + models:
+        assert Y._section == _reference_section(Y)
+
+
+def test_section_rejects_a_non_saturated_basis():
+    # A kernel basis is always saturated, so plant one that is not: twice
+    # the relation of P4 has no integer right inverse.
+    X = ToricVariety(projective_space_fan(4))
+    X.__dict__["curve_basis"] = ((2, 2, 2, 2, 2),)
+    assert _reference_section(X) == [None]
+    with pytest.raises(ValidationError, match="class lattice is not saturated"):
+        X._section
 
 
 def test_max_cone_count_equals_fixed_points():
