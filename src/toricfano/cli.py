@@ -455,7 +455,8 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--max-steps",
         type=int,
         default=d if suppress else 64,
-        help="MMP step cap (default 64)",
+        metavar="N",
+        help="an MMP takes at most N steps (default 64)",
     )
     parser.add_argument(
         "--exhaustive",

@@ -5,11 +5,13 @@ decomposition of the movable cone.
 
 Divisor-directed MMP.  Steps are flips of negative small extremal rays
 and negative divisorial contractions, until the transform of the
-divisor is nef or a negative fiber-type ray appears.  The default
-policy picks the most negative ray (ties by smallest wall index), which
-makes traces reproducible; the exhaustive mode enumerates every choice
-sequence and is how ambiguity of the terminal contraction type is
-detected on low Picard numbers.
+divisor is nef or a negative fiber-type ray appears, in at most
+``max_steps`` steps.  One depth-first walk runs every choice sequence;
+it tries the negative rays most negative first (ties by smallest wall
+index), so its first branch is the reproducible default-policy trace.
+The exhaustive mode keeps one trace per terminal outcome and is how
+ambiguity of the terminal contraction type is detected on low Picard
+numbers; typing a fixed divisor takes one walk.
 
 Chambers.  Full-dimensional chambers of the movable cone are the nef
 cones of the small modifications of X; enumeration walks the interior
@@ -171,105 +173,86 @@ def _apply_step(
     X: ToricVariety, vec, c: CurveClass, desc: ContractionDescriptor
 ) -> tuple[TraceStep, Optional[ToricVariety], Optional[tuple]]:
     """Execute one MMP step; returns (step, next variety, next divisor)."""
-    lb = _safe_ledger(X)
     if desc.kind == "small":
         if not desc.flippable:
             raise MoriError(
                 f"negative small ray with non-flippable circuit {list(desc.relation_sample)}"
             )
         X2, circuits = flip(X, c)
-        step = TraceStep(
-            move="flip",
-            curve_class=c,
-            descriptor=desc,
-            fan_before=X.fan,
-            fan_after=X2.fan,
-            ledger_before=lb,
-            ledger_after=_safe_ledger(X2),
-            divisor_before=tuple(vec),
-            divisor_after=tuple(vec),
-            circuit_count=len(circuits),
-        )
-        return step, X2, tuple(vec)
-    if desc.kind == "divisorial":
+        move, vec2, circuit_count = "flip", tuple(vec), len(circuits)
+    elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
         X2 = contract(X, r, center=desc.center, allow_singular=True)
         vec2 = tuple(x for i, x in enumerate(vec) if i != r)
-        step = TraceStep(
-            move="contraction",
-            curve_class=c,
-            descriptor=desc,
-            fan_before=X.fan,
-            fan_after=X2.fan,
-            ledger_before=lb,
-            ledger_after=_safe_ledger(X2),
-            divisor_before=tuple(vec),
-            divisor_after=vec2,
+        move, circuit_count = "contraction", 0
+    else:
+        raise MoriError("fiber-type ray cannot be executed as a birational step")
+    step = TraceStep(
+        move=move,
+        curve_class=c,
+        descriptor=desc,
+        fan_before=X.fan,
+        fan_after=X2.fan,
+        ledger_before=_safe_ledger(X),
+        ledger_after=_safe_ledger(X2),
+        divisor_before=tuple(vec),
+        divisor_after=vec2,
+        circuit_count=circuit_count,
+    )
+    return step, X2, vec2
+
+
+def _mmp_moves(X: ToricVariety, vec: tuple) -> tuple[Optional[str], list[tuple]]:
+    """(outcome, []) when the MMP of ``vec`` ends on X (transform
+    contracted or X singular, transform nef, or a negative fiber-type
+    ray), else (None, the negative rays in default-policy order)."""
+    if not X.is_smooth or not any(vec):
+        return "contracted", []
+    candidates = _negative_candidates(X, vec)
+    if not candidates:
+        return "nef", []
+    if any(t[3].kind == "fiber_type" for t in candidates):
+        return "fiber_type", []
+    return None, candidates
+
+
+def _walk(start: Fan, vec: tuple, X: ToricVariety, cvec: tuple, steps: tuple, max_steps: int):
+    """Yield every MMP trace of the divisor ``vec`` on ``start`` that
+    continues ``steps`` (which reached X, where ``vec`` is ``cvec``),
+    depth first over the negative rays in default-policy order, so the
+    first trace is the default-policy run.  A branch takes at most
+    ``max_steps`` steps."""
+    outcome, candidates = _mmp_moves(X, cvec)
+    if outcome is not None:
+        yield BirationalTrace(start, vec, steps, outcome, X.fan)
+        return
+    if len(steps) >= max_steps:
+        raise MoriError(
+            f"MMP of divisor {list(vec)} on fan {start.content_hash()}"
+            f" does not end within the step cap of {max_steps}"
         )
-        return step, X2, vec2
-    raise MoriError("fiber-type ray cannot be executed as a birational step")
+    for _, _, c, desc in candidates:
+        step, nxt, nvec = _apply_step(X, cvec, c, desc)
+        yield from _walk(start, vec, nxt, nvec, steps + (step,), max_steps)
 
 
 def mmp_for_divisor(
     X: ToricVariety, divisor: Union[int, Sequence], *, max_steps: int = 64
 ) -> BirationalTrace:
-    """Run the divisor-directed MMP with the default tie-break policy."""
+    """Run the divisor-directed MMP with the default tie-break policy:
+    the first branch of the exhaustive walk."""
     vec = _divisor_vector(X, divisor)
-    start = X.fan
-    steps: list[TraceStep] = []
-    current, cvec = X, vec
-    for _ in range(max_steps):
-        if not current.is_smooth:
-            break
-        if all(x == 0 for x in cvec):
-            return BirationalTrace(start, vec, tuple(steps), "contracted", current.fan)
-        candidates = _negative_candidates(current, cvec)
-        if not candidates:
-            return BirationalTrace(start, vec, tuple(steps), "nef", current.fan)
-        fiber = next((t for t in candidates if t[3].kind == "fiber_type"), None)
-        if fiber is not None:
-            return BirationalTrace(start, vec, tuple(steps), "fiber_type", current.fan)
-        _, _, c, desc = candidates[0]
-        step, current, cvec = _apply_step(current, cvec, c, desc)
-        steps.append(step)
-    else:
-        raise MoriError(
-            f"MMP did not terminate in {max_steps} steps; this signals a surgery bug"
-        )
-    # Landed on a flagged singular model: terminal contraction recorded.
-    return BirationalTrace(start, vec, tuple(steps), "contracted", steps[-1].fan_after)
+    return next(_walk(X.fan, vec, X, vec, (), max_steps))
 
 
 def mmp_all_for_divisor(
     X: ToricVariety, divisor: Union[int, Sequence], *, max_steps: int = 64
 ) -> list[BirationalTrace]:
-    """Exhaustive MMP enumeration over every negative-ray choice order."""
+    """Exhaustive MMP enumeration over every negative-ray choice order,
+    one trace per terminal outcome; the first is the default-policy run."""
     vec = _divisor_vector(X, divisor)
-    start = X.fan
-    out: list[BirationalTrace] = []
-
-    def walk(current: ToricVariety, cvec, steps: tuple, depth: int):
-        if depth > max_steps:
-            raise MoriError("exhaustive MMP exceeded the step cap")
-        if not current.is_smooth or all(x == 0 for x in cvec):
-            out.append(BirationalTrace(start, vec, steps, "contracted", current.fan))
-            return
-        candidates = _negative_candidates(current, cvec)
-        if not candidates:
-            out.append(BirationalTrace(start, vec, steps, "nef", current.fan))
-            return
-        fiber = next((t for t in candidates if t[3].kind == "fiber_type"), None)
-        if fiber is not None:
-            out.append(BirationalTrace(start, vec, steps, "fiber_type", current.fan))
-            return
-        for _, _, c, desc in candidates:
-            step, nxt, nvec = _apply_step(current, cvec, c, desc)
-            walk(nxt, nvec, steps + (step,), depth + 1)
-
-    walk(X, vec, (), 0)
-    # Deduplicate by terminal data.
     seen = {}
-    for tr in out:
+    for tr in _walk(X.fan, vec, X, vec, (), max_steps):
         desc = tr.terminal_descriptor
         key = (
             tr.outcome,
@@ -336,17 +319,17 @@ def classify_fixed_divisor(
 ) -> FixedDivisorReport:
     """Assign the contraction type of a fixed prime divisor.
 
-    The default-policy MMP supplies the distinguished curve moving in
-    the divisor (the wall curve of the terminal contraction, whose
-    class is unchanged by the preceding flips); exhaustive enumeration
-    decides uniqueness, and differing outcomes on low Picard number are
-    reported as ambiguous.
+    One exhaustive MMP walk: its first trace, the default-policy run,
+    supplies the distinguished curve moving in the divisor (the wall
+    curve of the terminal contraction, whose class is unchanged by the
+    preceding flips); the whole walk decides uniqueness, and differing
+    outcomes on low Picard number are reported as ambiguous.
     """
     r = report.ray_index
-    default = mmp_for_divisor(X, r, max_steps=max_steps)
+    traces = mmp_all_for_divisor(X, r, max_steps=max_steps)
+    default = traces[0]
     if default.outcome != "contracted" or not default.steps:
         raise MoriError(f"divisor of ray {r} is not fixed: MMP ended {default.outcome}")
-    traces = mmp_all_for_divisor(X, r, max_steps=max_steps)
     labels = sorted(
         {
             (t.terminal_descriptor.type_label or "undetermined")

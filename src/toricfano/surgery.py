@@ -424,18 +424,20 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
 
 
 def extremal_rays(X: ToricVariety) -> list[tuple[CurveClass, ContractionDescriptor]]:
-    """Extremal rays of the cone of curves with their contraction data."""
-    _require_4fold(X)
-    ne = ne_cone(X)
-    if ne.dim < X.rho:
-        raise SurgeryError("cone of curves is not full-dimensional")
-    nef = ne.dual()
-    if nef.dim < X.rho:
-        raise SurgeryError("fan is not projective: nef cone has empty interior")
-    out = []
-    for g in ne.generators:
-        indices = X.walls_by_class.get(g)
-        if indices is None:
-            raise SurgeryError(f"extremal class {g} carries no wall")
-        out.append((CurveClass(g), _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
-    return out
+    """Extremal rays of the cone of curves with their contraction data,
+    typed once per variety."""
+    if X._extremal_rays is None:
+        _require_4fold(X)
+        ne = ne_cone(X)
+        if ne.dim < X.rho:
+            raise SurgeryError("cone of curves is not full-dimensional")
+        if ne.dual().dim < X.rho:
+            raise SurgeryError("fan is not projective: nef cone has empty interior")
+        out = []
+        for g in ne.generators:
+            indices = X.walls_by_class.get(g)
+            if indices is None:
+                raise SurgeryError(f"extremal class {g} carries no wall")
+            out.append((CurveClass(g), _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
+        X._extremal_rays = tuple(out)
+    return list(X._extremal_rays)

@@ -137,6 +137,7 @@ class ToricVariety:
             c.passed for c in self.report.checks if c.name == "smoothness"
         )
         self._ledger: Optional[LedgerState] = None
+        self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
 
     # -- class group -------------------------------------------------
 

@@ -139,6 +139,25 @@ def test_mmp_exhaustive_flag_after_subcommand(capsys, registry):
     assert labels == {"(3,2)^sm", "(3,0)_other"}
 
 
+def test_mmp_default_is_the_first_exhaustive_trace(capsys, registry):
+    for divisor in ("6", "minusK"):
+        args = ("--registry", registry, "--json", "mmp", "D3", "--divisor", divisor)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        code, out_all, _ = run(capsys, *args, "--exhaustive")
+        assert code == 0
+        assert json.loads(out)["traces"] == json.loads(out_all)["traces"][:1]
+
+
+def test_fixed_step_cap_allows_exactly_max_steps(capsys, registry):
+    # The MMPs of both fixed divisors of D3 take at most two steps.
+    code, out, err = run(capsys, "--registry", registry, "fixed", "D3", "--max-steps", "2")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "--registry", registry, "fixed", "D3", "--max-steps", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.rstrip().endswith("within the step cap of 1")
+
+
 def test_fixed_table(capsys, registry):
     code, out, _ = run(capsys, "--registry", registry, "fixed", "Bl_pt_P4")
     assert code == 0

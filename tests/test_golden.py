@@ -1,7 +1,9 @@
 """Byte-identity guard for the canonical ``--json`` output.
 
 ``tests/data/cli_golden.json`` holds the stdout of ``--json`` ``info``,
-``cones``, ``delta``, ``fixed`` and ``chambers`` on every builtin fan.
+``cones``, ``delta``, ``fixed`` and ``chambers`` on every builtin fan,
+and of ``--json mmp --divisor r``, default and ``--exhaustive``, for
+every ray r of every builtin fan.
 Any change to those bytes must be deliberate: regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,21 +22,30 @@ from pathlib import Path
 import pytest
 
 from toricfano.cli import main
-from toricfano.library import builtin_names
+from toricfano.library import builtin, builtin_names
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 COMMANDS = ("info", "cones", "delta", "fixed", "chambers")
 
 
-def render(command: str, name: str, registry: str) -> str:
+def render(args: list[str], registry: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["--registry", registry, "--json", command, name])
+        code = main(["--registry", registry, "--json", *args])
     return f"exit {code}\n{out.getvalue()}"
 
 
 def _cases() -> list[tuple[str, str]]:
     return [(c, n) for n in sorted(builtin_names()) for c in COMMANDS]
+
+
+def _mmp_cases() -> list[str]:
+    return [
+        f"mmp {n} --divisor {r}{flag}"
+        for n in sorted(builtin_names())
+        for r in range(builtin(n).n_rays)
+        for flag in ("", " --exhaustive")
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -43,19 +54,25 @@ def golden() -> dict:
 
 
 def test_golden_covers_every_builtin(golden):
-    assert sorted(golden) == sorted(f"{c} {n}" for c, n in _cases())
+    assert sorted(golden) == sorted([f"{c} {n}" for c, n in _cases()] + _mmp_cases())
 
 
 @pytest.mark.parametrize("command,name", _cases())
 def test_json_output_is_byte_identical(golden, tmp_path, command, name):
-    assert render(command, name, str(tmp_path / "fans")) == golden[f"{command} {name}"]
+    assert render([command, name], str(tmp_path / "fans")) == golden[f"{command} {name}"]
+
+
+@pytest.mark.parametrize("case", _mmp_cases())
+def test_mmp_json_output_is_byte_identical(golden, tmp_path, case):
+    assert render(case.split(), str(tmp_path / "fans")) == golden[case]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        record = {f"{c} {n}": render(c, n, tmp) for c, n in _cases()}
+        record = {f"{c} {n}": render([c, n], tmp) for c, n in _cases()}
+        record.update((case, render(case.split(), tmp)) for case in _mmp_cases())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record)} outputs to {GOLDEN}", file=sys.stderr)

@@ -4,6 +4,7 @@ from toricfano.cones import RationalCone
 from toricfano.library import (
     bl_pt_p4,
     builtin,
+    builtin_names,
     bundle_over_p1xp2_O11,
     d3,
     p1xp3,
@@ -215,8 +216,50 @@ def test_fixed_divisor_report_serialization():
 def test_mmp_step_cap_diagnostic():
     X = d3()
     exc = X.n_rays - 1
-    with pytest.raises(MoriError):
-        mmp_for_divisor(X, exc, max_steps=0)
+    for cap in (0, -1):
+        with pytest.raises(MoriError):
+            mmp_for_divisor(X, exc, max_steps=cap)
+
+
+def _fixed_divisor_cases():
+    return [
+        (name, rep.ray_index)
+        for name in ("B511", "Bl_pt_P4", "D3", "R3", "Y_tower")
+        for rep in fixed_prime_divisors(builtin(name))
+    ]
+
+
+@pytest.mark.parametrize("name,ray", _fixed_divisor_cases())
+def test_mmp_step_cap_allows_exactly_max_steps(name, ray):
+    X = builtin(name)
+    default = mmp_for_divisor(X, ray)
+    traces = mmp_all_for_divisor(X, ray)
+    for run, k in (
+        (mmp_for_divisor, len(default.steps)),
+        (mmp_all_for_divisor, max(len(t.steps) for t in traces)),
+    ):
+        assert k >= 1
+        run(X, ray, max_steps=k)
+        with pytest.raises(MoriError) as e:
+            run(X, ray, max_steps=k - 1)
+        message = str(e.value)
+        assert message.endswith(f"within the step cap of {k - 1}")
+        assert str(list(default.divisor)) in message
+        assert X.fan.content_hash() in message
+
+
+def _divisor_cases():
+    cases = []
+    for name in sorted(builtin_names()):
+        n_rays = builtin(name).n_rays
+        cases += [(name, r) for r in range(n_rays)] + [(name, (1,) * n_rays)]
+    return cases
+
+
+@pytest.mark.parametrize("name,divisor", _divisor_cases())
+def test_default_trace_is_the_first_exhaustive_trace(name, divisor):
+    X = builtin(name)
+    assert mmp_all_for_divisor(X, divisor)[0] == mmp_for_divisor(X, divisor)
 
 
 def test_internal_check_failures_name_the_fan(monkeypatch, capsys, tmp_path):

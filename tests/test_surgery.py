@@ -369,6 +369,38 @@ def test_extremal_rays_match_the_wall_scan(name):
     assert extremal_rays(X) == reference
 
 
+def test_extremal_rays_are_typed_once_per_variety(monkeypatch):
+    from toricfano import surgery
+
+    reference = extremal_rays(d3())
+    calls = []
+
+    def counting_ne_cone(X):
+        calls.append(X)
+        return ne_cone(X)
+
+    monkeypatch.setattr(surgery, "ne_cone", counting_ne_cone)
+    X = ToricVariety(d3().fan)
+    first = extremal_rays(X)
+    first.clear()
+    second = extremal_rays(X)
+    assert second == extremal_rays(X) == reference
+    assert second is not extremal_rays(X)
+    assert calls == [X]
+    extremal_rays(ToricVariety(X.fan))
+    assert len(calls) == 2
+
+
+def test_extremal_rays_failure_is_not_cached():
+    from toricfano.library import projective_space_fan
+
+    X = ToricVariety(projective_space_fan(2))
+    for _ in range(2):
+        with pytest.raises(SurgeryError, match="4-folds"):
+            extremal_rays(X)
+        assert X._extremal_rays is None
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_flip_circuits_match_the_wall_scan(name):
     X = builtin(name)
