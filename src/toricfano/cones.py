@@ -12,13 +12,16 @@ lattice), and the pointed part is recorded by the extreme rays of the
 cone intersected with the orthogonal complement of the lineality.
 
 The V <-> H conversion is Motzkin-style double description with the
-algebraic (rank-based) adjacency test; exact over Z throughout.
+algebraic (rank-based) adjacency test; exact over Z throughout.  It
+keeps no memo: a cone that is needed more than once is kept by its
+owner (the cone of curves on its variety), and the chamber walk's
+cross-checks read the normals of cones already built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .lattice import (
@@ -116,31 +119,18 @@ def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> list[IntVec]:
     return rays
 
 
-# Entries kept by the double-description memo.  The chamber walk of R3
-# makes about 5,300 conversions of 631 distinct constraint sets; with
-# 256 entries it misses 633 times, with 128 about 1,600, with 64 about
-# 2,300.
-_DD_MEMO_SIZE = 256
-
-
 def dual_extreme_rays(vectors: Sequence[Sequence[int]], ambient_dim: int) -> list[IntVec]:
     """Canonical generators of {y : v.y >= 0 for all v in vectors}.
 
     The lineality part comes out as +/- pairs of the HNF kernel basis;
     the pointed part as extreme rays inside the orthogonal complement
-    of the lineality.  Sorted, primitive, deterministic.
-
-    The answer depends only on the set of primitive constraint
-    directions, so it is memoised on that set; callers get a fresh list.
+    of the lineality.  Sorted, primitive, deterministic: the answer
+    depends only on the set of primitive constraint directions.
     """
-    return list(_dual_extreme_rays(tuple(sorted(_dedupe_primitive(vectors))), ambient_dim))
-
-
-@lru_cache(maxsize=_DD_MEMO_SIZE)
-def _dual_extreme_rays(cons: tuple[IntVec, ...], ambient_dim: int) -> tuple[IntVec, ...]:
+    cons = sorted(_dedupe_primitive(vectors))
     if not cons:
         units = _unit_vectors(ambient_dim)
-        return tuple(sorted(units + [tuple(-x for x in u) for u in units]))
+        return sorted(units + [tuple(-x for x in u) for u in units])
     lineality = integer_kernel(transpose([list(c) for c in cons]))
     if lineality:
         complement = integer_kernel(transpose([list(l) for l in lineality]))
@@ -160,7 +150,7 @@ def _dual_extreme_rays(cons: tuple[IntVec, ...], ambient_dim: int) -> tuple[IntV
                 for j in range(ambient_dim)
             )
             out.append(primitive_vector(ray))
-    return tuple(sorted(set(out)))
+    return sorted(set(out))
 
 
 @dataclass(frozen=True)
@@ -258,22 +248,6 @@ class RationalCone:
         return RationalCone.from_inequalities(
             list(self.facet_normals) + list(other.facet_normals), self.ambient_dim
         )
-
-    def _face_from_tight_normals(self, tight: Sequence[IntVec]) -> "RationalCone":
-        gens = [
-            g for g in self.generators if all(dot(n, g) == 0 for n in tight)
-        ]
-        return RationalCone.from_generators(gens, self.ambient_dim)
-
-    def minimal_face_containing(self, sub: "RationalCone") -> "RationalCone":
-        if not self.contains_cone(sub):
-            raise ValueError("sub-cone is not contained in this cone")
-        tight = [
-            n
-            for n in self.facet_normals
-            if all(dot(n, g) == 0 for g in sub.generators)
-        ]
-        return self._face_from_tight_normals(tight)
 
     def all_faces(self) -> list["RationalCone"]:
         """Every face, found by closing under single-normal slices."""

@@ -17,8 +17,12 @@ Chambers.  Full-dimensional chambers of the movable cone are the nef
 cones of the small modifications of X; enumeration walks the interior
 facets by flips, and each discovered model is independently
 reconstructed from a chamber-interior weight through the regular
-triangulation it selects (the Gale-dual membership test), which guards
-the surgery route with the secondary-fan route.
+triangulation it selects (the Gale-dual membership test, one exact
+solve per maximal cone), which guards the surgery route with the
+secondary-fan route.  Coverage of the movable cone is checked at one
+point per chamber facet, read off the chamber's own facet normals.
+Each model builds its cone of curves once (``surgery.ne_cone``), and
+its nef chamber is that cone's dual.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .cones import RationalCone
 from .fan import Fan
-from .lattice import det_int, dot, primitive_vector, rational_rank
+from .lattice import det_int, dot, primitive_vector, rational_rank, solve_rational, transpose
 from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
@@ -79,18 +83,35 @@ class ConeSuite:
         }
 
 
+def _rays_by_class(X: ToricVariety) -> dict[IntVec, list[int]]:
+    """The invariant prime divisors carrying each primitive class."""
+    out: dict[IntVec, list[int]] = {}
+    for i in range(X.n_rays):
+        out.setdefault(primitive_vector(X.ray_divisor_class(i).coords), []).append(i)
+    return out
+
+
 def cone_suite(X: ToricVariety) -> ConeSuite:
-    """All five cones, with the duality and chain identities checked."""
+    """All five cones, with the duality and chain identities checked.
+
+    Mov is the intersection over the rays i of cone(classes j != i).
+    Dropping a class keeps all of Eff unless that class alone spans an
+    extremal ray of Eff (Eff is pointed: X is projective), so only
+    those rays are intersected.
+    """
     ne = ne_cone(X)
     nef = ne.dual()
     if nef.dim < X.rho:
         raise MoriError("fan is not projective: nef cone has empty interior")
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
     eff = RationalCone.from_generators(classes, X.rho)
+    rays_by_class = _rays_by_class(X)
     mov = eff
-    for i in range(X.n_rays):
-        others = [c for j, c in enumerate(classes) if j != i]
-        mov = mov.intersect(RationalCone.from_generators(others, X.rho))
+    for g in eff.generators:
+        carriers = rays_by_class.get(g, [])
+        if len(carriers) == 1:
+            others = [c for j, c in enumerate(classes) if j != carriers[0]]
+            mov = mov.intersect(RationalCone.from_generators(others, X.rho))
     mov_curves = eff.dual()
     h = X.fan.content_hash()
     if nef.dual() != ne:
@@ -292,11 +313,7 @@ def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
     """Invariant prime divisors whose class spans a one-dimensional face
     of the effective cone not contained in the movable cone."""
     suite = cone_suite(X)
-    rays_by_class: dict[IntVec, list[int]] = {}
-    for i in range(X.n_rays):
-        rays_by_class.setdefault(
-            primitive_vector(X.ray_divisor_class(i).coords), []
-        ).append(i)
+    rays_by_class = _rays_by_class(X)
     reports = []
     for g in suite.eff.generators:
         if suite.mov.contains(g):
@@ -450,16 +467,36 @@ class ChamberFan:
 def _triangulation_from_weight(X: ToricVariety, w: Sequence[int]) -> frozenset:
     """The regular triangulation selected by a weight in the movable
     cone: a maximal cone survives exactly when the weight lies in the
-    cone spanned by the classes of the complementary rays."""
+    cone spanned by the classes of the complementary rays.
+
+    By Gale duality the rho complementary classes of a cone sigma with
+    independent rays form a basis of the class group, so the weight is
+    in their cone exactly when its coordinates in that basis are all
+    nonnegative: one exact solve per sigma.
+    """
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
     cones = set()
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
             continue
         complement = [classes[j] for j in range(X.n_rays) if j not in sigma]
-        if RationalCone.from_generators(complement, X.rho).contains(w):
+        coords = solve_rational(transpose(complement), w)
+        if coords is not None and all(x >= 0 for x in coords):
             cones.add(tuple(sigma))
     return frozenset(cones)
+
+
+def _facet_points(chamber: RationalCone) -> list[IntVec]:
+    """One relative-interior point per facet of a full-dimensional
+    pointed cone: the sum of the generators tight on its normal, in the
+    order of ``faces_of_dim(dim - 1)``."""
+    facets = sorted(
+        tuple(g for g in chamber.generators if dot(n, g) == 0)
+        for n in chamber.facet_normals
+    )
+    return [
+        tuple(sum(g[j] for g in gens) for j in range(chamber.ambient_dim)) for gens in facets
+    ]
 
 
 def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
@@ -531,8 +568,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
         # Coverage: with disjoint interiors, the union is all of Mov iff
         # no chamber has a free interior facet.
         for ch in chamber_list:
-            for facet in ch.faces_of_dim(X.rho - 1):
-                p = facet.interior_point()
+            for p in _facet_points(ch):
                 if not suite.mov.contains_in_relative_interior(p):
                     continue
                 if not any(

@@ -287,10 +287,13 @@ class ContractionDescriptor:
 
 
 def ne_cone(X: ToricVariety) -> RationalCone:
-    """Cone of effective curves, generated by the wall classes."""
-    return RationalCone.from_generators(
-        [w.curve_class.coords for w in X.walls], X.rho
-    )
+    """Cone of effective curves, generated by the wall classes; built
+    once per variety."""
+    if X._ne is None:
+        X._ne = RationalCone.from_generators(
+            [w.curve_class.coords for w in X.walls], X.rho
+        )
+    return X._ne
 
 
 def divisor_link_fan(X: ToricVariety, ray_index: int) -> Fan:

@@ -30,6 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
+from .cones import RationalCone
 from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
 from .lattice import dot, hermite_normal_form, integer_kernel, primitive_vector, transpose
 from .ledger import LedgerState
@@ -138,6 +139,7 @@ class ToricVariety:
         )
         self._ledger: Optional[LedgerState] = None
         self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
+        self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
 
     # -- class group -------------------------------------------------
 

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
-from toricfano.cones import RationalCone
+from toricfano.cones import RationalCone, dual_extreme_rays
+from toricfano.lattice import det_int
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -23,7 +26,11 @@ from toricfano.mori import (
     mmp_for_divisor,
     mori_chambers,
     verify_bounds,
+    _facet_points,
+    _triangulation_from_weight,
 )
+from toricfano.surgery import ne_cone
+from toricfano.variety import ToricVariety
 
 
 def test_cone_suite_p1xp3_everything_is_the_quadrant():
@@ -286,3 +293,108 @@ def test_cone_chain_failure_names_the_fan(monkeypatch):
     monkeypatch.setattr(RationalCone, "contains_cone", lambda self, other: False)
     with pytest.raises(mori.InternalCheckError, match=f"on fan {X.fan.content_hash()}: not Nef <= Mov"):
         cone_suite(X)
+
+
+# -- test-only references for the chamber walk's cross-checks ------------
+
+
+def _chamber_models():
+    """(builtin name, chamber model, its nef cone) for every chamber of
+    every builtin."""
+    out = []
+    for name in builtin_names():
+        for k, fan in enumerate(mori_chambers(builtin(name)).fans):
+            Y = ToricVariety(fan)
+            out.append(pytest.param(name, Y, ne_cone(Y).dual(), id=f"{name}-{k}"))
+    return out
+
+
+CHAMBER_MODELS = _chamber_models()
+
+
+def _dd_complement_cones(X):
+    """For each 4-subset sigma with independent rays, the cone of the
+    classes of the other rays, built by double description."""
+    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+    out = {}
+    for sigma in combinations(range(X.n_rays), X.dim):
+        if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
+            continue
+        complement = [classes[j] for j in range(X.n_rays) if j not in sigma]
+        out[sigma] = RationalCone.from_generators(complement, X.rho)
+    return out
+
+
+@pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
+def test_gale_triangulation_matches_the_double_description_one(name, Y, nef):
+    cones = _dd_complement_cones(Y)
+    # Boundary weights (generators of the chamber and of Mov) put some
+    # complement cones on their boundary, where ">= 0" and contains()
+    # must still agree.
+    weights = [nef.interior_point(), *nef.generators, *cone_suite(Y).mov.generators]
+    for w in weights:
+        expected = frozenset(sigma for sigma, c in cones.items() if c.contains(w))
+        assert _triangulation_from_weight(Y, w) == expected
+    assert _triangulation_from_weight(Y, nef.interior_point()) == frozenset(Y.fan.max_cones)
+
+
+@pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
+def test_facet_points_match_the_face_lattice(name, Y, nef):
+    expected = [f.interior_point() for f in nef.faces_of_dim(Y.rho - 1)]
+    assert _facet_points(nef) == expected
+
+
+@pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
+def test_movable_cone_equals_the_intersection_over_every_ray(name, Y, nef):
+    classes = [Y.ray_divisor_class(i).coords for i in range(Y.n_rays)]
+    mov = RationalCone.from_generators(classes, Y.rho)
+    for i in range(Y.n_rays):
+        others = [c for j, c in enumerate(classes) if j != i]
+        mov = mov.intersect(RationalCone.from_generators(others, Y.rho))
+    assert cone_suite(Y).mov == mov
+
+
+def test_chamber_walk_cross_checks_make_no_dd_call_and_ne_is_built_once(monkeypatch):
+    from toricfano import cones, mori, surgery
+
+    inside = []
+    dd_inside = []
+    built = {}  # fan key -> the distinct NE objects handed out for it
+
+    def tracked(fn):
+        def wrapper(*args):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def counting_dd(vectors, ambient_dim):
+        if inside:
+            dd_inside.append(inside[-1])
+        return dual_extreme_rays(vectors, ambient_dim)
+
+    def counting_ne_cone(X):
+        ne = ne_cone(X)
+        objects = built.setdefault(X.fan.canonical_key(), [])
+        if not any(ne is o for o in objects):
+            objects.append(ne)
+        return ne
+
+    def no_face_lattice(self):
+        raise AssertionError("the chamber walk closed a face lattice")
+
+    monkeypatch.setattr(cones, "dual_extreme_rays", counting_dd)
+    monkeypatch.setattr(RationalCone, "all_faces", no_face_lattice)
+    monkeypatch.setattr(mori, "_triangulation_from_weight", tracked(_triangulation_from_weight))
+    monkeypatch.setattr(mori, "_facet_points", tracked(_facet_points))
+    monkeypatch.setattr(mori, "ne_cone", counting_ne_cone)
+    monkeypatch.setattr(surgery, "ne_cone", counting_ne_cone)
+    X = ToricVariety(builtin("R3").fan)
+    result = mori_chambers(X)
+    assert result.count == 9
+    assert dd_inside == []
+    assert sorted(built) == sorted(f.canonical_key() for f in result.fans)
+    assert all(len(objects) == 1 for objects in built.values())
