@@ -13,16 +13,26 @@ The exhaustive mode keeps one trace per terminal outcome and is how
 ambiguity of the terminal contraction type is detected on low Picard
 numbers; typing a fixed divisor takes one walk.
 
+Cone suite.  Built once per variety.  Its dualities are checked
+against the inputs (wall classes against Nef, ray classes against the
+dual of Eff), and Mov is one conversion from Eff's facet normals and
+those of cone(classes != i) for the rays i that alone carry an extremal
+ray of Eff.
+
 Chambers.  Full-dimensional chambers of the movable cone are the nef
 cones of the small modifications of X; enumeration walks the interior
 facets by flips, and each discovered model is independently
 reconstructed from a chamber-interior weight through the regular
-triangulation it selects (the Gale-dual membership test, one exact
-solve per maximal cone), which guards the surgery route with the
-secondary-fan route.  Coverage of the movable cone is checked at one
-point per chamber facet, read off the chamber's own facet normals.
-Each model builds its cone of curves once (``surgery.ne_cone``), and
-its nef chamber is that cone's dual.
+triangulation it selects, which guards the surgery route with the
+secondary-fan route.  Every small modification keeps the rays, hence
+the divisor classes, so the Gale-dual membership test inverts each
+complement basis once per walk (``_gale_inverses``) and a chamber's
+check is sign tests of dot products.  Interiors are disjoint when a
+facet normal of one chamber is nonpositive on the other; only when no
+facet separates a pair is the intersection built.  Coverage of the
+movable cone is checked at one point per chamber facet, read off the
+chamber's own facet normals.  Each model builds its cone of curves
+once (``surgery.ne_cone``), and its nef chamber is that cone's dual.
 """
 
 from __future__ import annotations
@@ -31,9 +41,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cones import RationalCone
+from .cones import RationalCone, dual_extreme_rays
 from .fan import Fan
-from .lattice import det_int, dot, primitive_vector, rational_rank, solve_rational, transpose
+from .lattice import _row_reduce, det_int, dot, primitive_vector, rational_rank
 from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
@@ -92,36 +102,43 @@ def _rays_by_class(X: ToricVariety) -> dict[IntVec, list[int]]:
 
 
 def cone_suite(X: ToricVariety) -> ConeSuite:
-    """All five cones, with the duality and chain identities checked.
+    """All five cones, built once per variety, with the dualities
+    checked against the wall and ray classes and the chain identities
+    checked between the cones.
 
     Mov is the intersection over the rays i of cone(classes j != i).
     Dropping a class keeps all of Eff unless that class alone spans an
     extremal ray of Eff (Eff is pointed: X is projective), so only
-    those rays are intersected.
+    those rays add inequalities to Eff's, and Mov is one conversion.
     """
+    if X._suite is not None:
+        return X._suite
     ne = ne_cone(X)
     nef = ne.dual()
     if nef.dim < X.rho:
         raise MoriError("fan is not projective: nef cone has empty interior")
+    h = X.fan.content_hash()
+    walls = [w.curve_class.coords for w in X.walls]
+    if any(dot(c, g) < 0 for c in walls for g in nef.generators):
+        raise InternalCheckError(f"duality failure: a wall class is negative on Nef on fan {h}")
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
     eff = RationalCone.from_generators(classes, X.rho)
+    mov_curves = eff.dual()
+    if any(dot(c, g) < 0 for c in classes for g in mov_curves.generators):
+        raise InternalCheckError(f"duality failure: a ray class is negative on dual(Eff) on fan {h}")
     rays_by_class = _rays_by_class(X)
-    mov = eff
+    extra = []
     for g in eff.generators:
         carriers = rays_by_class.get(g, [])
         if len(carriers) == 1:
             others = [c for j, c in enumerate(classes) if j != carriers[0]]
-            mov = mov.intersect(RationalCone.from_generators(others, X.rho))
-    mov_curves = eff.dual()
-    h = X.fan.content_hash()
-    if nef.dual() != ne:
-        raise InternalCheckError(f"duality failure: dual(Nef) != NE on fan {h}")
-    if eff.dual() != mov_curves:
-        raise InternalCheckError(f"duality failure: dual(Eff) != mov on fan {h}")
+            extra += dual_extreme_rays(others, X.rho)
+    mov = RationalCone.from_inequalities(list(eff.facet_normals) + extra, X.rho) if extra else eff
     for small, big, names in ((nef, mov, "Nef <= Mov"), (mov, eff, "Mov <= Eff")):
         if not big.contains_cone(small):
             raise InternalCheckError(f"cone chain Nef <= Mov <= Eff violated on fan {h}: not {names}")
-    return ConeSuite(nef=nef, mov=mov, eff=eff, ne=ne, mov_curves=mov_curves)
+    X._suite = ConeSuite(nef=nef, mov=mov, eff=eff, ne=ne, mov_curves=mov_curves)
+    return X._suite
 
 
 # -- MMP for a divisor -------------------------------------------------
@@ -464,26 +481,61 @@ class ChamberFan:
         }
 
 
-def _triangulation_from_weight(X: ToricVariety, w: Sequence[int]) -> frozenset:
-    """The regular triangulation selected by a weight in the movable
-    cone: a maximal cone survives exactly when the weight lies in the
-    cone spanned by the classes of the complementary rays.
+def _gale_inverses(X: ToricVariety) -> list[tuple[IntVec, list[IntVec]]]:
+    """(sigma, rows) for each dim-subset sigma of rays with nonzero
+    determinant: the rows of a positive diagonal multiple of the
+    inverse of the matrix whose columns are the classes of the rays
+    outside sigma.
 
-    By Gale duality the rho complementary classes of a cone sigma with
-    independent rays form a basis of the class group, so the weight is
-    in their cone exactly when its coordinates in that basis are all
-    nonnegative: one exact solve per sigma.
+    By Gale duality those rho classes form a basis of the class group
+    exactly when the rays of sigma are independent.  One fraction-free
+    reduction of [B^T | I] leaves row i as p_i e_i | p_i (B^T)^-1_i;
+    rows are negated where p_i < 0, so a weight's coordinates in the
+    basis have the signs of its dot products with the rows.
     """
+    rho = X.rho
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
-    cones = set()
+    out = []
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
             continue
         complement = [classes[j] for j in range(X.n_rays) if j not in sigma]
-        coords = solve_rational(transpose(complement), w)
-        if coords is not None and all(x >= 0 for x in coords):
-            cones.add(tuple(sigma))
-    return frozenset(cones)
+        rows = [[c[k] for c in complement] + [int(i == k) for i in range(rho)] for k in range(rho)]
+        if len(_row_reduce(rows, rho)) < rho:
+            raise InternalCheckError(
+                f"Gale duality failure: the classes outside the independent rays {list(sigma)}"
+                f" are not a basis on fan {X.fan.content_hash()}"
+            )
+        out.append((sigma, [tuple(x if r[k] > 0 else -x for x in r[rho:]) for k, r in enumerate(rows)]))
+    return out
+
+
+def _triangulation_from_weight(
+    inverses: list[tuple[IntVec, list[IntVec]]], w: Sequence[int]
+) -> frozenset:
+    """The regular triangulation selected by a weight in the movable
+    cone: a maximal cone sigma survives exactly when the weight lies in
+    the cone spanned by the classes of the complementary rays, that is
+    when its coordinates in that basis (``_gale_inverses``) are all
+    nonnegative."""
+    return frozenset(
+        sigma for sigma, rows in inverses if all(dot(r, w) >= 0 for r in rows)
+    )
+
+
+def _interiors_overlap(A: RationalCone, B: RationalCone) -> bool:
+    """Whether two cones meet in a full-dimensional cone.
+
+    A facet normal n of one cone with n . g <= 0 for every generator g
+    of the other certifies that they meet inside the hyperplane n = 0;
+    chambers adjacent across a wall are separated so.  Facet normals
+    alone do not decide disjointness from rho = 4 on, so when no facet
+    separates, the intersection is built by double description.
+    """
+    for P, Q in ((A, B), (B, A)):
+        if any(all(dot(n, g) <= 0 for g in Q.generators) for n in P.facet_normals):
+            return False
+    return A.intersect(B).dim == A.ambient_dim
 
 
 def _facet_points(chamber: RationalCone) -> list[IntVec]:
@@ -508,6 +560,8 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
     and excluded (they lead to models outside the simplicial category).
     """
     suite = cone_suite(X)
+    h = X.fan.content_hash()
+    inverses = _gale_inverses(X)
     position: dict[tuple, int] = {X.fan.canonical_key(): 0}
     fans: list[Fan] = [X.fan]
     chambers: dict[tuple, RationalCone] = {}
@@ -519,16 +573,21 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
         nxt = []
         for node in frontier:
             key = node.fan.canonical_key()
+            if node.fan.rays != X.fan.rays:
+                raise InternalCheckError(
+                    f"small modification changed the rays: chamber {position[key]}"
+                    f" (fan {node.fan.content_hash()}) of fan {h}"
+                )
             nef = ne_cone(node).dual()
             chambers[key] = nef
             weight = nef.interior_point()
-            reconstructed = _triangulation_from_weight(node, weight)
+            reconstructed = _triangulation_from_weight(inverses, weight)
             if reconstructed != frozenset(node.fan.max_cones):
                 diff = sorted(reconstructed ^ frozenset(node.fan.max_cones))
                 raise InternalCheckError(
                     "weight-selected triangulation disagrees with the fan of its chamber:"
                     f" chamber {position[key]} (fan {node.fan.content_hash()}) of fan"
-                    f" {X.fan.content_hash()}, weight {list(weight)}, cones {[list(c) for c in diff]}"
+                    f" {h}, weight {list(weight)}, cones {[list(c) for c in diff]}"
                 )
             for c, desc in extremal_rays(node):
                 if desc.kind != "small":
@@ -556,10 +615,8 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     adjacency.append((i, j, c.coords))
         frontier = nxt
     chamber_list = [chambers[k] for k in position]
-    h = X.fan.content_hash()
     for a, b in combinations(range(len(chamber_list)), 2):
-        inter = chamber_list[a].intersect(chamber_list[b])
-        if inter.dim >= X.rho:
+        if _interiors_overlap(chamber_list[a], chamber_list[b]):
             raise InternalCheckError(f"chamber interiors overlap: chambers {a} and {b} of fan {h}")
     for k, ch in enumerate(chamber_list):
         if not suite.mov.contains_cone(ch):

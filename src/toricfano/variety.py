@@ -28,12 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
 from .lattice import dot, hermite_normal_form, integer_kernel, primitive_vector, transpose
 from .ledger import LedgerState
+
+if TYPE_CHECKING:
+    from .mori import ConeSuite
 
 IntVec = tuple[int, ...]
 Coords = tuple
@@ -140,6 +143,7 @@ class ToricVariety:
         self._ledger: Optional[LedgerState] = None
         self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
+        self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
 
     # -- class group -------------------------------------------------
 

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from toricfano.cones import RationalCone
+from toricfano.lattice import dot, primitive_vector
 from toricfano.ledger import (
     CurveBlowupData,
     apply_curve_blowup,
@@ -100,6 +101,13 @@ def test_criterion_08_cone_dualities_on_corpus():
         assert suite.eff.dual() == suite.mov_curves
         assert suite.mov.contains_cone(suite.nef)
         assert suite.eff.contains_cone(suite.mov)
+        # The dual descriptions read back against the inputs they came from.
+        walls = [w.curve_class.coords for w in X.walls]
+        classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+        assert set(suite.ne.generators) <= {primitive_vector(c) for c in walls}
+        assert set(suite.eff.generators) <= {primitive_vector(c) for c in classes}
+        assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
+        assert all(dot(c, g) >= 0 for c in classes for g in suite.mov_curves.generators)
     _report(8, f"dual(Nef) = NE, dual(Eff) = mov, Nef <= Mov <= Eff on {len(CORPUS)} fans")
 
 

@@ -420,3 +420,31 @@ def test_front_door_fuzz_ends_in_a_documented_exit(tmp_path_factory, data, comma
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].strip(), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+def test_cones_after_fixed_reuses_the_cone_suite(monkeypatch, capsys, registry):
+    from toricfano import cli, cones, mori
+    from toricfano.library import builtin
+
+    builtin.cache_clear()  # a fresh builtin D3, with no cones built yet
+    dd = {"fixed": 0, "cones": 0}
+    phase = []
+    real_dd = cones.dual_extreme_rays
+
+    def counting_dd(vectors, ambient_dim):
+        dd[phase[-1]] += 1
+        return real_dd(vectors, ambient_dim)
+
+    real_cmd_cones = cli.cmd_cones
+
+    def cmd_cones(session, args):
+        phase.append("cones")
+        return real_cmd_cones(session, args)
+
+    monkeypatch.setattr(cones, "dual_extreme_rays", counting_dd)
+    monkeypatch.setattr(mori, "dual_extreme_rays", counting_dd)
+    monkeypatch.setattr(cli, "cmd_cones", cmd_cones)
+    phase.append("fixed")
+    assert run(capsys, "--registry", registry, "--json", "fixed", "D3")[0] == 0
+    assert run(capsys, "--registry", registry, "--json", "cones", "D3")[0] == 0
+    assert dd["fixed"] > 0 and dd["cones"] == 0

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from toricfano.cones import RationalCone, dual_extreme_rays
-from toricfano.lattice import det_int
+from toricfano.lattice import det_int, dot
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -27,9 +27,11 @@ from toricfano.mori import (
     mori_chambers,
     verify_bounds,
     _facet_points,
+    _gale_inverses,
+    _interiors_overlap,
     _triangulation_from_weight,
 )
-from toricfano.surgery import ne_cone
+from toricfano.surgery import flip, ne_cone
 from toricfano.variety import ToricVariety
 
 
@@ -275,7 +277,7 @@ def test_internal_check_failures_name_the_fan(monkeypatch, capsys, tmp_path):
 
     X = d3()
     h = X.fan.content_hash()
-    monkeypatch.setattr(mori, "_triangulation_from_weight", lambda node, w: frozenset())
+    monkeypatch.setattr(mori, "_triangulation_from_weight", lambda inverses, w: frozenset())
     with pytest.raises(mori.InternalCheckError) as e:
         mori_chambers(X)
     assert f"chamber 0 (fan {h}) of fan {h}" in str(e.value)
@@ -332,10 +334,12 @@ def test_gale_triangulation_matches_the_double_description_one(name, Y, nef):
     # complement cones on their boundary, where ">= 0" and contains()
     # must still agree.
     weights = [nef.interior_point(), *nef.generators, *cone_suite(Y).mov.generators]
+    inverses = _gale_inverses(Y)
+    assert [sigma for sigma, _ in inverses] == list(cones)
     for w in weights:
         expected = frozenset(sigma for sigma, c in cones.items() if c.contains(w))
-        assert _triangulation_from_weight(Y, w) == expected
-    assert _triangulation_from_weight(Y, nef.interior_point()) == frozenset(Y.fan.max_cones)
+        assert _triangulation_from_weight(inverses, w) == expected
+    assert _triangulation_from_weight(inverses, nef.interior_point()) == frozenset(Y.fan.max_cones)
 
 
 @pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
@@ -390,11 +394,132 @@ def test_chamber_walk_cross_checks_make_no_dd_call_and_ne_is_built_once(monkeypa
     monkeypatch.setattr(RationalCone, "all_faces", no_face_lattice)
     monkeypatch.setattr(mori, "_triangulation_from_weight", tracked(_triangulation_from_weight))
     monkeypatch.setattr(mori, "_facet_points", tracked(_facet_points))
+    monkeypatch.setattr(mori, "_gale_inverses", tracked(_gale_inverses))
+    overlap_calls = []
+
+    def counted_overlap(A, B):
+        overlap_calls.append((A, B))
+        return _interiors_overlap(A, B)
+
+    monkeypatch.setattr(mori, "_interiors_overlap", tracked(counted_overlap))
     monkeypatch.setattr(mori, "ne_cone", counting_ne_cone)
     monkeypatch.setattr(surgery, "ne_cone", counting_ne_cone)
     X = ToricVariety(builtin("R3").fan)
     result = mori_chambers(X)
     assert result.count == 9
+    assert len(overlap_calls) == 36
     assert dd_inside == []
     assert sorted(built) == sorted(f.canonical_key() for f in result.fans)
     assert all(len(objects) == 1 for objects in built.values())
+
+
+def _separated(A, B):
+    return any(
+        all(dot(n, g) <= 0 for g in Q.generators)
+        for P, Q in ((A, B), (B, A))
+        for n in P.facet_normals
+    )
+
+
+def test_interiors_overlap_agrees_with_the_double_description_on_every_chamber_pair():
+    pairs = 0
+    for name in builtin_names():
+        result = mori_chambers(builtin(name))
+        for A, B in combinations(result.chambers, 2):
+            assert _separated(A, B)  # the double description is never reached
+            assert _interiors_overlap(A, B) == (A.intersect(B).dim == A.ambient_dim)
+            pairs += 1
+        for A in result.chambers:
+            assert _interiors_overlap(A, result.mov)
+            assert _interiors_overlap(A, A)
+    assert pairs >= 37  # the 36 pairs of R3 and the pair of D3
+
+
+def test_interiors_overlap_falls_back_when_no_facet_separates(monkeypatch):
+    A = RationalCone.from_generators([(1, -2, 0, 0), (1, 2, 0, 0), (1, 0, 2, -2), (1, 0, -2, -2)])
+    B = RationalCone.from_generators([(1, 0, 2, 1), (1, 0, -2, 1), (1, 2, 0, 3), (1, -2, 0, 3)])
+    assert A.dim == B.dim == 4
+    assert not _separated(A, B)
+    intersections = []
+    intersect = RationalCone.intersect
+
+    def counting_intersect(self, other):
+        intersections.append((self, other))
+        return intersect(self, other)
+
+    monkeypatch.setattr(RationalCone, "intersect", counting_intersect)
+    assert not _interiors_overlap(A, B)
+    assert len(intersections) == 1
+    assert intersect(A, B).dim == 0
+
+
+def test_mori_chambers_rejects_an_overlapping_chamber(monkeypatch):
+    from toricfano import mori
+
+    # D3 has chambers cone{(0,0,1),(1,-1,0),(1,0,0)} and
+    # cone{(0,0,1),(0,1,1),(1,0,0)}.  The fake second chamber reaches
+    # into the first through (2,-1,3), and the sum of its generators,
+    # (3,1,7), still selects the second model's triangulation.
+    fake = RationalCone.from_generators([(1, 0, 0), (0, 0, 1), (0, 2, 3), (2, -1, 3)])
+    assert fake.interior_point() == (3, 1, 7)
+    X = d3()
+    key = mori_chambers(d3()).fans[1].canonical_key()
+    monkeypatch.setattr(
+        mori, "ne_cone", lambda Y: fake.dual() if Y.fan.canonical_key() == key else ne_cone(Y)
+    )
+    with pytest.raises(mori.InternalCheckError) as e:
+        mori_chambers(X)
+    assert str(e.value) == f"chamber interiors overlap: chambers 0 and 1 of fan {X.fan.content_hash()}"
+
+
+def test_gale_inverses_refuse_a_dependent_complement(monkeypatch):
+    from toricfano import mori
+
+    X = builtin("R3")
+    monkeypatch.setattr(mori, "det_int", lambda m: 1)  # every 4-subset claims independent rays
+    with pytest.raises(mori.InternalCheckError, match=f"Gale duality failure: .* on fan {X.fan.content_hash()}"):
+        _gale_inverses(X)
+
+
+def test_mori_chambers_refuses_a_model_with_other_rays(monkeypatch):
+    from toricfano import mori
+    from toricfano.fan import Fan
+
+    def relabelled_flip(node, c):
+        flipped, circuits = flip(node, c)
+        fan = flipped.fan
+        order = list(reversed(range(fan.n_rays)))  # new ray k is old ray order[k]
+        where = {old: new for new, old in enumerate(order)}
+        cones = [[where[i] for i in cone] for cone in fan.max_cones]
+        return ToricVariety(Fan.make(fan.dim, [fan.rays[i] for i in order], cones)), circuits
+
+    X = d3()
+    monkeypatch.setattr(mori, "flip", relabelled_flip)
+    with pytest.raises(mori.InternalCheckError, match=f"changed the rays: chamber 1 .* of fan {X.fan.content_hash()}"):
+        mori_chambers(X)
+
+
+def test_cone_suite_duality_checks_read_the_walls_and_the_ray_classes(monkeypatch):
+    from toricfano import mori
+
+    # NE without its first extremal ray: dual(NE) is too big for the walls.
+    X = d3()
+    ne = ne_cone(X)
+    monkeypatch.setattr(mori, "ne_cone", lambda Y: RationalCone.from_generators(ne.generators[1:], Y.rho))
+    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* Nef on fan {X.fan.content_hash()}"):
+        cone_suite(X)
+    monkeypatch.undo()
+
+    # Eff without its first extremal ray: dual(Eff) is too big for the rays.
+    X = d3()
+    from_generators = RationalCone.from_generators
+    eff = from_generators([X.ray_divisor_class(i).coords for i in range(X.n_rays)], X.rho)
+
+    def corrupted(vectors, ambient_dim=None):
+        cone = from_generators(vectors, ambient_dim)
+        return from_generators(eff.generators[1:], ambient_dim) if cone == eff else cone
+
+    monkeypatch.setattr(RationalCone, "from_generators", staticmethod(corrupted))
+    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* dual\\(Eff\\) on fan {X.fan.content_hash()}"):
+        cone_suite(X)
+
