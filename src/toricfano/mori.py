@@ -221,6 +221,11 @@ def _apply_step(
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
         X2 = contract(X, r, center=desc.center, allow_singular=True)
+        if desc.type_label and desc.type_label.endswith("^sm") and not X2.is_smooth:
+            raise InternalCheckError(
+                f"{desc.type_label} contraction of ray {r} has a singular target"
+                f" on fan {X.fan.content_hash()}"
+            )
         vec2 = tuple(x for i, x in enumerate(vec) if i != r)
         move, circuit_count = "contraction", 0
     else:

@@ -7,11 +7,13 @@ rays with negative coefficient span the cone whose orbit closure is the
 locus of the contraction, rays with positive coefficient control the
 fibers.  An extremal ray is of fiber type when no coefficient is
 negative, divisorial when the negative support is a single ray, small
-when it has two or more rays.  A divisorial ray is a smooth blow-down
-exactly when the relation says the contracted ray is the unit sum of
-its positive support and removing it re-fans the star into a smooth
-fan; the flippable small pattern is a five-ray circuit with unit
-coefficients split 3 against 2.
+when it has two or more rays.  The relation alone types a divisorial
+ray (Reid 1983): it is a smooth blow-down exactly when its walls carry
+one relation u_E = u_1 + ... + u_c and every cone of the star of E
+misses exactly one center ray, so the star re-fans over {1..c}; no
+contraction is built to decide it.  The center of a contraction is the
+positive support of such a relation.  The flippable small pattern is a
+five-ray circuit with unit coefficients split 3 against 2.
 """
 
 from __future__ import annotations
@@ -77,39 +79,20 @@ def blowup(
 
 
 def _center_candidates(X: ToricVariety, ray_index: int) -> list[tuple[int, ...]]:
-    """Candidate centers for the inverse star subdivision at a ray.
-
-    Smooth blow-downs have the contracted ray equal to the unit sum of
-    the center rays; failing that, the positive support of the ray's
-    divisorial wall relations is the center (possibly singular target).
-    """
-    fan = X.fan
-    link = sorted(
-        {i for c in fan.max_cones if ray_index in c for i in c} - {ray_index}
+    """Candidate centers for the inverse star subdivision at a ray: the
+    positive supports of the wall relations negative on the ray alone,
+    smallest first (then by ray indices)."""
+    return sorted(
+        {w.positive_rays for w in X.walls if w.negative_rays == (ray_index,)},
+        key=lambda support: (len(support), support),
     )
-    target = fan.rays[ray_index]
-    out = []
-    for size in range(2, fan.dim + 1):
-        for subset in combinations(link, size):
-            if all(
-                sum(fan.rays[i][t] for i in subset) == target[t]
-                for t in range(fan.dim)
-            ):
-                out.append(subset)
-    for support in sorted(
-        {
-            w.positive_rays
-            for w in X.walls
-            if w.relation[ray_index] < 0 and w.negative_rays == (ray_index,)
-        }
-    ):
-        if support not in out:
-            out.append(support)
-    return out
 
 
-def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
-    new_cones = set()
+def _image_cones(fan: Fan, ray_index: int, center: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The cones that replace the star of the ray when it is re-fanned
+    over the center: each star cone must miss exactly one center ray,
+    which takes the place of the removed ray."""
+    out = set()
     for c in fan.max_cones:
         if ray_index not in c:
             continue
@@ -118,7 +101,12 @@ def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
             raise SurgeryError(
                 f"star cone {list(c)} is not part of a star subdivision over {list(center)}"
             )
-        new_cones.add(tuple(sorted(set(c) - {ray_index} | missing)))
+        out.add(tuple(sorted(set(c) - {ray_index} | missing)))
+    return out
+
+
+def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
+    new_cones = _image_cones(fan, ray_index, center)
     keep = [c for c in fan.max_cones if ray_index not in c]
     reindex = {old: old - (old > ray_index) for old in range(fan.n_rays)}
     rays = [list(r) for i, r in enumerate(fan.rays) if i != ray_index]
@@ -139,10 +127,12 @@ def contract(
 
     When the same divisor carries several divisorial extremal rays, the
     center decides which contraction is performed; by default the
-    candidates found on the ray are tried smallest first.  When the
-    result fails smoothness the contraction leaves the smooth toric
-    category; it is refused unless ``allow_singular``, in which case the
-    (still complete and compatible) fan is returned flagged.
+    candidates are the positive supports of the wall relations negative
+    on the ray alone (``_center_candidates``), tried smallest first, and
+    the first smooth target wins.  When no target is smooth the
+    contraction leaves the smooth toric category; it is refused unless
+    ``allow_singular``, in which case the first (still complete and
+    compatible) fan is returned flagged.
     """
     fan = X.fan
     if not 0 <= ray_index < fan.n_rays:
@@ -275,16 +265,6 @@ class ContractionDescriptor:
     flippable: bool = False
     relation_sample: IntVec = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "type_label": self.type_label,
-            "exc_rays": list(self.exc_rays),
-            "image_dim": self.image_dim,
-            "center": list(self.center) if self.center else None,
-            "flippable": self.flippable,
-        }
-
 
 def ne_cone(X: ToricVariety) -> RationalCone:
     """Cone of effective curves, generated by the wall classes; built
@@ -372,15 +352,16 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                 f"{sorted(rs)}"
             )
         r = rs.pop()
-        relations = {w.relation for w in walls_on_ray}
-        smooth_pattern = (
-            len(relations) == 1
-            and all(c in (-1, 0, 1) for c in rel_sample)
-        )
-        if smooth_pattern:
+        if all(w.relation == rel_sample for w in walls_on_ray) and all(
+            c in (-1, 0, 1) for c in rel_sample
+        ):
             center = walls_on_ray[0].positive_rays
             try:
-                contract(X, r, center=center)
+                _image_cones(X.fan, r, center)
+            except SurgeryError:
+                pass
+            else:
+                # u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
                 m = X.dim - len(center)
                 return ContractionDescriptor(
                     kind="divisorial",
@@ -390,8 +371,6 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                     center=center,
                     relation_sample=rel_sample,
                 )
-            except SurgeryError:
-                pass
         image_dim = X.dim - min(len(p) for p in positives)
         if image_dim == 2:
             label = "(3,2)"

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from toricfano.cones import RationalCone, dual_extreme_rays
-from toricfano.lattice import det_int, dot
+from toricfano.lattice import det_int, dot, primitive_vector
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -56,8 +56,13 @@ def test_cone_suite_bl_pt_p4():
 def test_cone_suite_dualities_hold():
     for X in (p4(), p1xp3(), p2xp2(), bl_pt_p4(), d3()):
         suite = cone_suite(X)
-        assert suite.nef.dual() == suite.ne
-        assert suite.eff.dual() == suite.mov_curves
+        # The dual descriptions read back against the wall and ray classes.
+        walls = [w.curve_class.coords for w in X.walls]
+        classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+        assert set(suite.ne.generators) <= {primitive_vector(c) for c in walls}
+        assert set(suite.eff.generators) <= {primitive_vector(c) for c in classes}
+        assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
+        assert all(dot(c, g) >= 0 for c in classes for g in suite.mov_curves.generators)
         assert suite.mov.contains_cone(suite.nef)
         assert suite.eff.contains_cone(suite.mov)
 
@@ -523,3 +528,29 @@ def test_cone_suite_duality_checks_read_the_walls_and_the_ray_classes(monkeypatc
     with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* dual\\(Eff\\) on fan {X.fan.content_hash()}"):
         cone_suite(X)
 
+
+
+def test_smooth_label_on_a_singular_contraction_is_an_internal_error(monkeypatch):
+    from dataclasses import replace
+
+    from toricfano import mori
+    from toricfano.surgery import extremal_rays
+
+    # After the flip, the exceptional divisor of D3 contracts to a
+    # singular point, typed (3,0)_other; relabelled smooth, executing
+    # the contraction must refuse the label.
+    X = d3()
+    small = next(c for c, d in extremal_rays(X) if d.kind == "small")
+    Y, _ = flip(X, small)
+    relabelled = [
+        (c, replace(d, type_label="(3,0)^sm") if d.type_label == "(3,0)_other" else d)
+        for c, d in extremal_rays(Y)
+    ]
+    assert relabelled != extremal_rays(Y)
+    monkeypatch.setattr(mori, "extremal_rays", lambda Z: relabelled if Z is Y else extremal_rays(Z))
+    with pytest.raises(mori.InternalCheckError) as e:
+        mmp_for_divisor(Y, X.n_rays - 1)
+    assert str(e.value) == (
+        f"(3,0)^sm contraction of ray {X.n_rays - 1} has a singular target"
+        f" on fan {Y.fan.content_hash()}"
+    )

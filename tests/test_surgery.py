@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from toricfano.fan import Fan
@@ -13,11 +15,13 @@ from toricfano.library import (
     p4,
     plane_blowup_tower_base,
 )
-from toricfano.mori import _negative_candidates
+from toricfano.mori import _negative_candidates, mmp_all_for_divisor, mori_chambers
 from toricfano.surgery import (
+    ContractionDescriptor,
     FlipCircuit,
     SurgeryError,
     _analyze_walls_on_ray,
+    _center_candidates,
     blowup,
     contract,
     divisor_link_fan,
@@ -419,3 +423,123 @@ def test_negative_candidates_match_the_wall_scan(name):
     divisors.append([-1] * X.n_rays)
     for vec in divisors:
         assert _negative_candidates(X, vec) == _reference_negative_candidates(X, vec)
+
+
+# -- typing and centers from wall relations against trial contractions --
+
+
+@pytest.fixture(scope="module")
+def walked_models():
+    """Every builtin, its chamber models and the smooth models its
+    exhaustive MMPs visit, each once."""
+    fans = {}
+    for name in sorted(builtin_names()):
+        X = builtin(name)
+        fans.setdefault(X.fan.canonical_key(), X.fan)
+        for fan in mori_chambers(X).fans:
+            fans.setdefault(fan.canonical_key(), fan)
+        for r in range(X.n_rays):
+            for trace in mmp_all_for_divisor(X, r):
+                for step in trace.steps:
+                    fans.setdefault(step.fan_after.canonical_key(), step.fan_after)
+    models = [ToricVariety(f, allow_singular=True) for f in fans.values()]
+    return [Y for Y in models if Y.is_smooth]
+
+
+def _trial_contraction_typing(X, walls):
+    """Reference: a unit-pattern divisorial ray typed by building its
+    contraction; None when the contraction is refused."""
+    r = walls[0].negative_rays[0]
+    center = walls[0].positive_rays
+    try:
+        contract(X, r, center=center)
+    except SurgeryError:
+        return None
+    m = X.dim - len(center)
+    return ContractionDescriptor(
+        kind="divisorial",
+        type_label=f"(3,{m})^sm",
+        exc_rays=(r,),
+        image_dim=m,
+        center=center,
+        relation_sample=walls[0].relation,
+    )
+
+
+def _unit_sum_centers(X, ray_index):
+    """Reference: the center rule that first searched the link of the
+    ray for subsets summing to it, then took the wall supports."""
+    fan = X.fan
+    link = sorted({i for c in fan.max_cones if ray_index in c for i in c} - {ray_index})
+    out = [
+        subset
+        for size in range(2, fan.dim + 1)
+        for subset in combinations(link, size)
+        if all(sum(fan.rays[i][t] for i in subset) == fan.rays[ray_index][t] for t in range(fan.dim))
+    ]
+    for support in sorted({w.positive_rays for w in X.walls if w.negative_rays == (ray_index,)}):
+        if support not in out:
+            out.append(support)
+    return out
+
+
+def test_walls_type_smooth_blowdowns_as_trial_contractions_did(walked_models):
+    unit_rays = 0
+    for X in walked_models:
+        for c, d in extremal_rays(X):
+            walls = [X.walls[i] for i in X.walls_by_class[c.coords]]
+            if d.kind != "divisorial" or len({w.relation for w in walls}) != 1:
+                continue
+            if any(x not in (-1, 0, 1) for x in walls[0].relation):
+                continue
+            unit_rays += 1
+            reference = _trial_contraction_typing(X, walls)
+            if reference is None:
+                assert d.center is None  # typed as before, by the image
+            else:
+                assert d == reference
+    assert len(walked_models) >= 29 and unit_rays >= 42
+
+
+def test_extremal_rays_build_no_variety(walked_models, monkeypatch):
+    from toricfano import surgery
+
+    fresh = [ToricVariety(X.fan) for X in walked_models]
+    reference = [extremal_rays(X) for X in walked_models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a variety was built")
+
+    monkeypatch.setattr(surgery, "contract", refuse)
+    monkeypatch.setattr(ToricVariety, "__init__", refuse)
+    assert [extremal_rays(X) for X in fresh] == reference
+
+
+def _contract_outcome(X, r, allow_singular):
+    try:
+        Y = contract(X, r, allow_singular=allow_singular)
+    except SurgeryError as e:
+        return type(e)
+    return Y.fan.canonical_key(), Y.is_smooth
+
+
+def test_wall_centers_contract_as_unit_sum_centers_did(walked_models, monkeypatch):
+    from toricfano import surgery
+
+    # One blow-up per maximal cone, of a face of 2, 3 or 4 rays in turn.
+    cases = list(walked_models) + [
+        blowup(X, cone[: 2 + k % 3]) for X in walked_models for k, cone in enumerate(X.fan.max_cones)
+    ]
+    differing = 0
+    for X in cases:
+        for r in range(X.n_rays):
+            reference = _unit_sum_centers(X, r)
+            if _center_candidates(X, r) == reference:
+                continue  # contract depends on the ray only through the candidates
+            differing += 1
+            for allow_singular in (False, True):
+                outcome = _contract_outcome(X, r, allow_singular)
+                monkeypatch.setattr(surgery, "_center_candidates", _unit_sum_centers)
+                assert _contract_outcome(X, r, allow_singular) == outcome
+                monkeypatch.undo()
+    assert differing > 0
