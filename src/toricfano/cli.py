@@ -34,7 +34,7 @@ from .mori import (
     verify_bounds,
 )
 from .replays import REPLAYS, Checklist
-from .surgery import SurgeryError, blowup, contract, flip
+from .surgery import SurgeryError, blowup, contract, extremal_rays, flip
 from .variety import ToricVariety
 
 EXIT_OK = 0
@@ -231,7 +231,16 @@ def cmd_blowup(session: Session, args) -> int:
 
 def cmd_contract(session: Session, args) -> int:
     X = session.resolve(args.name)
-    Y = contract(X, args.ray, allow_singular=args.allow_singular)
+    if not 0 <= args.ray < X.n_rays:
+        raise CliError(f"ray index {args.ray} out of range")
+    centers = [
+        d.center for _, d in extremal_rays(X)
+        if d.kind == "divisorial" and d.exc_rays == (args.ray,)
+    ]
+    if not centers:
+        raise CliError(f"ray {args.ray} carries no divisorial extremal ray")
+    center = min(centers, key=lambda c: (len(c), c))
+    Y = contract(X, args.ray, center, allow_singular=args.allow_singular)
     data = {"ray": args.ray, "smooth_result": Y.is_smooth}
     return _surgery_report(session, args, X, Y, "contract", data)
 
@@ -491,10 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="as_name", default=None)
     p.set_defaults(func=cmd_blowup)
 
-    p = sub.add_parser("contract", help="contract a divisorial ray")
+    p = sub.add_parser(
+        "contract",
+        help="contract the divisorial extremal ray on a ray, smallest center first",
+    )
     _global_flags(p, suppress=True)
     p.add_argument("name")
-    p.add_argument("--ray", type=int, required=True)
+    p.add_argument("--ray", type=int, required=True,
+                   help="index of the ray whose divisor is contracted")
     p.add_argument("--allow-singular", action="store_true")
     p.add_argument("--as", dest="as_name", default=None)
     p.set_defaults(func=cmd_contract)

@@ -216,10 +216,6 @@ class RationalCone:
             return 0
         return rational_rank([list(g) for g in negs])
 
-    @property
-    def is_pointed(self) -> bool:
-        return self.lineality_dim == 0
-
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")

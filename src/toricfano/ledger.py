@@ -27,7 +27,7 @@ Blank lines and '#' comments are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -97,9 +97,6 @@ class LedgerState:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.chi_minusK, self.degK4, self.c2K2, self.rho)
-
-    def assert_fano(self) -> "LedgerState":
-        return replace(self, fano_flag=True)
 
 
 P4_STATE = LedgerState(126, 625, 250, 1, 1, True)

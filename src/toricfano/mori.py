@@ -220,10 +220,12 @@ def _apply_step(
         move, vec2, circuit_count = "flip", tuple(vec), len(circuits)
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
-        X2 = contract(X, r, center=desc.center, allow_singular=True)
-        if desc.type_label and desc.type_label.endswith("^sm") and not X2.is_smooth:
+        X2 = contract(X, r, desc.center, allow_singular=True)
+        label = desc.type_label or "divisorial"
+        if X2.is_smooth != label.endswith("^sm"):
+            target = "smooth" if X2.is_smooth else "singular"
             raise InternalCheckError(
-                f"{desc.type_label} contraction of ray {r} has a singular target"
+                f"{label} contraction of ray {r} has a {target} target"
                 f" on fan {X.fan.content_hash()}"
             )
         vec2 = tuple(x for i, x in enumerate(vec) if i != r)

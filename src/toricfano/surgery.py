@@ -11,9 +11,11 @@ when it has two or more rays.  The relation alone types a divisorial
 ray (Reid 1983): it is a smooth blow-down exactly when its walls carry
 one relation u_E = u_1 + ... + u_c and every cone of the star of E
 misses exactly one center ray, so the star re-fans over {1..c}; no
-contraction is built to decide it.  The center of a contraction is the
-positive support of such a relation.  The flippable small pattern is a
-five-ray circuit with unit coefficients split 3 against 2.
+contraction is built to decide it.  Every divisorial ray carries its
+center, the positive support of its relation (Reid: the relation fixes
+the contraction), and ``contract`` re-fans the star over exactly that
+center.  The flippable small pattern is a five-ray circuit with unit
+coefficients split 3 against 2.
 """
 
 from __future__ import annotations
@@ -78,16 +80,6 @@ def blowup(
 # -- contraction ------------------------------------------------------
 
 
-def _center_candidates(X: ToricVariety, ray_index: int) -> list[tuple[int, ...]]:
-    """Candidate centers for the inverse star subdivision at a ray: the
-    positive supports of the wall relations negative on the ray alone,
-    smallest first (then by ray indices)."""
-    return sorted(
-        {w.positive_rays for w in X.walls if w.negative_rays == (ray_index,)},
-        key=lambda support: (len(support), support),
-    )
-
-
 def _image_cones(fan: Fan, ray_index: int, center: tuple[int, ...]) -> set[tuple[int, ...]]:
     """The cones that replace the star of the ray when it is re-fanned
     over the center: each star cone must miss exactly one center ray,
@@ -117,62 +109,34 @@ def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
 def contract(
     X: ToricVariety,
     ray_index: int,
+    center: Sequence[int],
     *,
-    center: Optional[Sequence[int]] = None,
     allow_singular: bool = False,
     name: Optional[str] = None,
 ) -> ToricVariety:
     """Inverse star subdivision: remove the ray, re-fan its star over the
     contraction center.
 
-    When the same divisor carries several divisorial extremal rays, the
-    center decides which contraction is performed; by default the
-    candidates are the positive supports of the wall relations negative
-    on the ray alone (``_center_candidates``), tried smallest first, and
-    the first smooth target wins.  When no target is smooth the
-    contraction leaves the smooth toric category; it is refused unless
-    ``allow_singular``, in which case the first (still complete and
-    compatible) fan is returned flagged.
+    The center is the positive support of the wall relation of the
+    divisorial extremal ray being contracted, as ``extremal_rays`` gives
+    it; a divisor carrying several such rays has one target per center.
+    A singular target leaves the smooth toric category; it is
+    refused unless ``allow_singular``, in which case the (still complete
+    and compatible) fan is returned flagged.
     """
     fan = X.fan
     if not 0 <= ray_index < fan.n_rays:
         raise SurgeryError(f"no ray {ray_index}")
-    if center is not None:
-        candidates = [tuple(sorted(center))]
-    else:
-        candidates = _center_candidates(X, ray_index)
-    if not candidates:
-        raise SurgeryError(
-            f"ray {ray_index} is not the exceptional ray of a divisorial contraction"
-        )
-    flagged: Optional[ToricVariety] = None
-    structural: Optional[SurgeryError] = None
-    for center in candidates:
-        try:
-            new_fan = _refanned_star(fan, ray_index, center)
-        except SurgeryError as e:
-            structural = e
-            continue
-        try:
-            return ToricVariety(new_fan, name=name or (X.name or "X") + "-contract")
-        except ValidationError:
-            pass
-        if flagged is None:
-            try:
-                flagged = ToricVariety(
-                    new_fan,
-                    allow_singular=True,
-                    name=name or (X.name or "X") + "-contract(singular)",
-                )
-            except ValidationError as e:
-                structural = SurgeryError(str(e))
-    if flagged is not None:
-        if not allow_singular:
-            raise SurgeryError(
-                f"contracting ray {ray_index} leaves the smooth toric category"
-            )
-        return flagged
-    raise structural or SurgeryError(f"ray {ray_index} is not contractible")
+    new_fan = _refanned_star(fan, ray_index, tuple(sorted(center)))
+    try:
+        Y = ToricVariety(new_fan, allow_singular=True, name=name)
+    except ValidationError as e:
+        raise SurgeryError(str(e)) from None
+    if not Y.is_smooth and not allow_singular:
+        raise SurgeryError(f"contracting ray {ray_index} leaves the smooth toric category")
+    if name is None:
+        Y.name = (X.name or "X") + ("-contract" if Y.is_smooth else "-contract(singular)")
+    return Y
 
 
 # -- flips ------------------------------------------------------------
@@ -352,27 +316,24 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                 f"{sorted(rs)}"
             )
         r = rs.pop()
-        if all(w.relation == rel_sample for w in walls_on_ray) and all(
-            c in (-1, 0, 1) for c in rel_sample
-        ):
-            center = walls_on_ray[0].positive_rays
+        if any(w.relation != rel_sample for w in walls_on_ray):
+            centers = sorted({w.positive_rays for w in walls_on_ray})
+            raise SurgeryError(
+                f"divisorial extremal ray of ray {r} with inconsistent centers "
+                f"{[list(c) for c in centers]}"
+            )
+        center = walls_on_ray[0].positive_rays
+        image_dim = X.dim - len(center)
+        smooth = all(c in (-1, 0, 1) for c in rel_sample)
+        if smooth:
             try:
                 _image_cones(X.fan, r, center)
             except SurgeryError:
-                pass
-            else:
-                # u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
-                m = X.dim - len(center)
-                return ContractionDescriptor(
-                    kind="divisorial",
-                    type_label=f"(3,{m})^sm",
-                    exc_rays=(r,),
-                    image_dim=m,
-                    center=center,
-                    relation_sample=rel_sample,
-                )
-        image_dim = X.dim - min(len(p) for p in positives)
-        if image_dim == 2:
+                smooth = False
+        if smooth:
+            # u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
+            label: Optional[str] = f"(3,{image_dim})^sm"
+        elif image_dim == 2:
             label = "(3,2)"
         elif image_dim == 0:
             label = (
@@ -387,6 +348,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
             type_label=label,
             exc_rays=(r,),
             image_dim=image_dim,
+            center=center,
             relation_sample=rel_sample,
         )
     if all(len(n) >= 2 for n in negatives):

@@ -182,18 +182,6 @@ class ToricVariety:
             raise ValidationError("class lattice is not saturated")
         return [tuple(u[a]) for a in range(self.rho)]
 
-    def class_group(self) -> tuple[int, tuple[IntVec, ...], list[list[int]]]:
-        """(rho, divisor-class map, curve pairing matrix).
-
-        The map sends a coefficient vector over the invariant prime
-        divisors to its class; in these coordinates the intersection
-        pairing with curve-class coordinates is the identity matrix.
-        """
-        self._require_smooth()
-        rho = self.rho
-        pairing = [[1 if i == j else 0 for j in range(rho)] for i in range(rho)]
-        return rho, self.curve_basis, pairing
-
     def _require_smooth(self) -> None:
         if not self.is_smooth:
             raise ValidationError("operation requires a smooth fan")

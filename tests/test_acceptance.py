@@ -209,7 +209,7 @@ def test_criterion_12_randomized_property_suites():
         )
         for center in rng.sample(faces, 8):
             Y = blowup(X, center)
-            back = contract(Y, Y.n_rays - 1)
+            back = contract(Y, Y.n_rays - 1, center)
             assert back.fan.canonical_key() == X.fan.canonical_key()
             cases += 1
 

@@ -243,6 +243,21 @@ def test_contract_singular_flag(capsys, registry):
     assert json.loads(out)["smooth_result"] is False
 
 
+@pytest.mark.parametrize("ray", ["99", "-1"])
+def test_contract_ray_out_of_range(capsys, registry, ray):
+    code, out, err = run(capsys, "--registry", registry, "contract", "R3", "--ray", ray)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: ray index {ray} out of range"]
+
+
+def test_contract_ray_without_divisorial_extremal_ray(capsys, registry):
+    code, out, err = run(capsys, "--registry", registry, "contract", "R3", "--ray", "7")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: ray 7 carries no divisorial extremal ray"]
+
+
 def test_flip_class_zero_and_non_primitive(capsys, registry):
     code, out, err = run(capsys, "--registry", registry, "flip", "D3", "--class", "0,0,0")
     assert code == 2

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -224,7 +225,7 @@ def test_h0_requires_fano_flag():
     s = apply_point_blowup(P4_STATE)
     with pytest.raises(LedgerError):
         _ = s.h0_minusK
-    assert s.assert_fano().h0_minusK == 111
+    assert replace(s, fano_flag=True).h0_minusK == 111
 
 
 def test_chi_general_returns_exact_fraction():

@@ -554,3 +554,25 @@ def test_smooth_label_on_a_singular_contraction_is_an_internal_error(monkeypatch
         f"(3,0)^sm contraction of ray {X.n_rays - 1} has a singular target"
         f" on fan {Y.fan.content_hash()}"
     )
+
+
+def test_singular_label_on_a_smooth_contraction_is_an_internal_error(monkeypatch):
+    from dataclasses import replace
+
+    from toricfano import mori
+    from toricfano.surgery import extremal_rays
+
+    # B511's section contracts smoothly along its (3,2)^sm ray; relabelled
+    # singular, executing the contraction must refuse the label.
+    X = bundle_over_p1xp2_O11()
+    relabelled = [
+        (c, replace(d, type_label="(3,2)") if d.type_label == "(3,2)^sm" else d)
+        for c, d in extremal_rays(X)
+    ]
+    assert relabelled != extremal_rays(X)
+    monkeypatch.setattr(mori, "extremal_rays", lambda Z: relabelled if Z is X else extremal_rays(Z))
+    with pytest.raises(mori.InternalCheckError) as e:
+        mmp_all_for_divisor(X, 0)
+    assert str(e.value) == (
+        f"(3,2) contraction of ray 0 has a smooth target on fan {X.fan.content_hash()}"
+    )

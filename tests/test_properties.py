@@ -182,7 +182,7 @@ def test_blowup_contract_round_trip_random_centers(name):
     for center in rng.sample(faces, min(10, len(faces))):
         Y = blowup(X, center)
         assert Y.report.ok
-        back = contract(Y, Y.n_rays - 1)
+        back = contract(Y, Y.n_rays - 1, center)
         assert back.fan.canonical_key() == X.fan.canonical_key()
 
 

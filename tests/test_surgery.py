@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from toricfano.fan import Fan
@@ -21,7 +19,6 @@ from toricfano.surgery import (
     FlipCircuit,
     SurgeryError,
     _analyze_walls_on_ray,
-    _center_candidates,
     blowup,
     contract,
     divisor_link_fan,
@@ -54,20 +51,26 @@ def test_blowup_rejects_non_cone_center():
 def test_blowup_contract_round_trip():
     X = p4()
     Y = blowup(X, (0, 1, 2, 3))
-    Z = contract(Y, 5)
+    Z = contract(Y, 5, (0, 1, 2, 3))
     assert Z.fan.canonical_key() == X.fan.canonical_key()
 
 
 def test_contract_exceptional_on_blowup_of_curve():
     X = blowup(p4(), (0, 1, 2))
     assert X.rho == 2
-    Z = contract(X, 5)
+    Z = contract(X, 5, (0, 1, 2))
     assert Z.fan.canonical_key() == p4().fan.canonical_key()
 
 
 def test_contract_refuses_noncontractible_ray():
-    with pytest.raises(SurgeryError):
-        contract(p4(), 0)
+    assert all(d.kind != "divisorial" for _, d in extremal_rays(p4()))
+    with pytest.raises(SurgeryError, match="not part of a star subdivision over"):
+        contract(p4(), 0, (1, 2))
+
+
+def test_contract_requires_a_center():
+    with pytest.raises(TypeError):
+        contract(blowup(p4(), (0, 1, 2, 3)), 5)
 
 
 def test_point_blowup_ledger_deltas():
@@ -191,9 +194,10 @@ def test_d3_flipped_contraction_leaves_smooth_category():
     small_class = next(c for c, d in extremal_rays(X) if d.kind == "small")
     X2, _ = flip(X, small_class)
     exc = X.n_rays - 1
-    with pytest.raises(SurgeryError):
-        contract(X2, exc)
-    Z = contract(X2, exc, allow_singular=True)
+    (center,) = [d.center for _, d in extremal_rays(X2) if d.exc_rays == (exc,)]
+    with pytest.raises(SurgeryError, match="smooth toric category"):
+        contract(X2, exc, center)
+    Z = contract(X2, exc, center, allow_singular=True)
     assert not Z.is_smooth
     smooth_check = next(c for c in Z.report.checks if c.name == "smoothness")
     assert not smooth_check.passed
@@ -307,8 +311,8 @@ def test_contract_both_rays_on_bundle_511_section():
         d for _, d in rays if d.kind == "divisorial" and d.type_label == "(3,1)^sm"
     )
     assert d32.exc_rays == d31.exc_rays == (0,)
-    Y = contract(X, 0, center=d32.center)
-    Z = contract(X, 0, center=d31.center)
+    Y = contract(X, 0, d32.center)
+    Z = contract(X, 0, d31.center)
     assert Y.rho == Z.rho == 2
     assert Y.report.ok and Z.report.ok
     assert Y.fan.canonical_key() != Z.fan.canonical_key()
@@ -324,6 +328,33 @@ def test_mmp_routes_honor_chosen_contraction_center():
     assert set(traces) == {"(3,1)^sm", "(3,2)^sm"}
     finals = {label: t.final.canonical_key() for label, t in traces.items()}
     assert finals["(3,1)^sm"] != finals["(3,2)^sm"]
+
+
+@pytest.mark.parametrize("cone", [(0, 2), (0, 3)])
+def test_mmp_contracts_the_center_of_its_own_ray(cone):
+    # On these blow-ups of B511, ray 0 carries a (3,2) ray, whose own
+    # contraction is singular, and a (3,1)^sm ray with center (4, 5, 6).
+    # Each trace must end on the target of the ray it typed, not on the
+    # first smooth one.
+    Y = blowup(bundle_over_p1xp2_O11(), cone)
+    traces = {t.terminal_descriptor.type_label: t for t in mmp_all_for_divisor(Y, 0)}
+    assert set(traces) == {"(3,2)", "(3,1)^sm"}
+    assert traces["(3,1)^sm"].terminal_descriptor.center == (4, 5, 6)
+    for label, t in traces.items():
+        d = t.terminal_descriptor
+        target = contract(Y, 0, d.center, allow_singular=True)
+        assert t.final.canonical_key() == target.fan.canonical_key()
+        assert target.is_smooth == (label == "(3,1)^sm")
+
+
+def test_walls_disagreeing_on_a_divisorial_ray_are_refused():
+    # B511's section carries two divisorial rays on ray 0; their walls
+    # taken together name two centers for one contraction.
+    X = bundle_over_p1xp2_O11()
+    walls = [w for w in X.walls if w.negative_rays == (0,)]
+    assert len({w.positive_rays for w in walls}) == 2
+    with pytest.raises(SurgeryError, match=r"inconsistent centers \[\[.*\], \[.*\]\]"):
+        _analyze_walls_on_ray(X, walls)
 
 
 # -- the wall-by-class index against the scan it replaced --------------
@@ -466,23 +497,6 @@ def _trial_contraction_typing(X, walls):
     )
 
 
-def _unit_sum_centers(X, ray_index):
-    """Reference: the center rule that first searched the link of the
-    ray for subsets summing to it, then took the wall supports."""
-    fan = X.fan
-    link = sorted({i for c in fan.max_cones if ray_index in c for i in c} - {ray_index})
-    out = [
-        subset
-        for size in range(2, fan.dim + 1)
-        for subset in combinations(link, size)
-        if all(sum(fan.rays[i][t] for i in subset) == fan.rays[ray_index][t] for t in range(fan.dim))
-    ]
-    for support in sorted({w.positive_rays for w in X.walls if w.negative_rays == (ray_index,)}):
-        if support not in out:
-            out.append(support)
-    return out
-
-
 def test_walls_type_smooth_blowdowns_as_trial_contractions_did(walked_models):
     unit_rays = 0
     for X in walked_models:
@@ -495,7 +509,7 @@ def test_walls_type_smooth_blowdowns_as_trial_contractions_did(walked_models):
             unit_rays += 1
             reference = _trial_contraction_typing(X, walls)
             if reference is None:
-                assert d.center is None  # typed as before, by the image
+                assert d.center == walls[0].positive_rays  # typed as before, by the image
             else:
                 assert d == reference
     assert len(walked_models) >= 29 and unit_rays >= 42
@@ -515,31 +529,20 @@ def test_extremal_rays_build_no_variety(walked_models, monkeypatch):
     assert [extremal_rays(X) for X in fresh] == reference
 
 
-def _contract_outcome(X, r, allow_singular):
-    try:
-        Y = contract(X, r, allow_singular=allow_singular)
-    except SurgeryError as e:
-        return type(e)
-    return Y.fan.canonical_key(), Y.is_smooth
-
-
-def test_wall_centers_contract_as_unit_sum_centers_did(walked_models, monkeypatch):
-    from toricfano import surgery
-
+def test_every_divisorial_ray_contracts_its_own_center(walked_models):
     # One blow-up per maximal cone, of a face of 2, 3 or 4 rays in turn.
     cases = list(walked_models) + [
         blowup(X, cone[: 2 + k % 3]) for X in walked_models for k, cone in enumerate(X.fan.max_cones)
     ]
-    differing = 0
+    targets = {True: 0, False: 0}
     for X in cases:
-        for r in range(X.n_rays):
-            reference = _unit_sum_centers(X, r)
-            if _center_candidates(X, r) == reference:
-                continue  # contract depends on the ray only through the candidates
-            differing += 1
-            for allow_singular in (False, True):
-                outcome = _contract_outcome(X, r, allow_singular)
-                monkeypatch.setattr(surgery, "_center_candidates", _unit_sum_centers)
-                assert _contract_outcome(X, r, allow_singular) == outcome
-                monkeypatch.undo()
-    assert differing > 0
+        for c, d in extremal_rays(X):
+            if d.kind != "divisorial":
+                continue
+            walls = [X.walls[i] for i in X.walls_by_class[c.coords]]
+            assert {w.positive_rays for w in walls} == {d.center}
+            Y = contract(X, d.exc_rays[0], d.center, allow_singular=True)
+            assert Y.rho == X.rho - 1
+            assert Y.is_smooth == (d.type_label or "").endswith("^sm")
+            targets[Y.is_smooth] += 1
+    assert len(cases) >= 434 and targets[True] >= 961 and targets[False] >= 43
