@@ -190,14 +190,6 @@ class RationalCone:
         return RationalCone(ambient_dim, tuple(gens), tuple(norms))
 
     @staticmethod
-    def full_space(ambient_dim: int) -> "RationalCone":
-        return RationalCone.from_generators(
-            _unit_vectors(ambient_dim)
-            + [tuple(-x for x in u) for u in _unit_vectors(ambient_dim)],
-            ambient_dim,
-        )
-
-    @staticmethod
     def zero(ambient_dim: int) -> "RationalCone":
         return RationalCone.from_generators([], ambient_dim)
 

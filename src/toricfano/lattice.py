@@ -29,13 +29,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a[0])} vs {len(b)}")
-    cols = range(len(b[0])) if b else range(0)
-    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols] for ra in a]
-
-
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 

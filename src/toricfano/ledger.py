@@ -28,7 +28,6 @@ Blank lines and '#' comments are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 FANO_TO_SQM = "fano_to_sqm"
@@ -43,20 +42,6 @@ _DIRECTIONS = {
 
 class LedgerError(ValueError):
     pass
-
-
-def chi_general(
-    D4: int, KD3: int, D2_K2_plus_c2: int, D_K_c2: int, chi_O: int = 1
-) -> Fraction:
-    """chi(X, D) for a divisor on a smooth projective 4-fold.
-
-    Takes the four intersection quantities D^4, K.D^3, D^2.(K^2+c2),
-    D.K.c2 and returns the exact rational value; genuine divisors give
-    integers.
-    """
-    return (
-        Fraction(D4 - 2 * KD3 + D2_K2_plus_c2 - D_K_c2, 24) + chi_O
-    )
 
 
 @dataclass(frozen=True)

@@ -221,11 +221,10 @@ def _apply_step(
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
         X2 = contract(X, r, desc.center, allow_singular=True)
-        label = desc.type_label or "divisorial"
-        if X2.is_smooth != label.endswith("^sm"):
+        if X2.is_smooth != desc.type_label.endswith("^sm"):
             target = "smooth" if X2.is_smooth else "singular"
             raise InternalCheckError(
-                f"{label} contraction of ray {r} has a {target} target"
+                f"{desc.type_label} contraction of ray {r} has a {target} target"
                 f" on fan {X.fan.content_hash()}"
             )
         vec2 = tuple(x for i, x in enumerate(vec) if i != r)
@@ -373,7 +372,7 @@ def classify_fixed_divisor(
         raise MoriError(f"divisor of ray {r} is not fixed: MMP ended {default.outcome}")
     labels = sorted(
         {
-            (t.terminal_descriptor.type_label or "undetermined")
+            t.terminal_descriptor.type_label
             for t in traces
             if t.outcome == "contracted" and t.terminal_descriptor is not None
         }

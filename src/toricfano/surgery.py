@@ -222,7 +222,7 @@ def flip(
 @dataclass(frozen=True)
 class ContractionDescriptor:
     kind: str  # fiber_type | divisorial | small
-    type_label: Optional[str]
+    type_label: Optional[str]  # set on every divisorial ray, else None
     exc_rays: tuple[int, ...]
     image_dim: int
     center: Optional[tuple[int, ...]] = None
@@ -332,9 +332,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                 smooth = False
         if smooth:
             # u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
-            label: Optional[str] = f"(3,{image_dim})^sm"
-        elif image_dim == 2:
-            label = "(3,2)"
+            label = f"(3,{image_dim})^sm"
         elif image_dim == 0:
             label = (
                 "(3,0)^Q"
@@ -342,7 +340,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                 else "(3,0)_other"
             )
         else:
-            label = None
+            label = f"(3,{image_dim})"
         return ContractionDescriptor(
             kind="divisorial",
             type_label=label,

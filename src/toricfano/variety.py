@@ -8,18 +8,20 @@ class is the pairing vector (k . a) for k running over that basis, so
 divisor-class coordinates and curve-class coordinates pair by plain dot
 product (the pairing matrix in these bases is the identity).
 
-Intersection numbers use iterated restriction to orbit closures
-V(sigma).  Each maximal cone carries its dual basis: the rows g_i with
-g_i . u_j = delta_ij over its rays, from one elimination per cone.
-For a face sigma of a chosen maximal cone, m = sum_{i in sigma} a_i g_i
-has m . u_i = a_i on sigma, so D - div(chi^m) is a linearly equivalent
-divisor with zero coefficient on the rays of sigma; its coefficients
-on the rays j of the link of sigma (those with sigma + j a face) are
-b_j = a_j - sum_i a_i (g_i . u_j), and D . V(sigma) = sum_j b_j V(sigma + j).
-The recursion bottoms out in a point count on maximal cones.  On a smooth fan the g_i are integers, so integer input stays in
-integer arithmetic throughout.  The second Chern class of a smooth
-complete toric variety is the sum of the classes of the invariant
-surfaces, i.e. of the orbit closures of the 2-dimensional cones.
+Intersection numbers come from the torus-fixed points, one per maximal
+cone sigma (the Bott residue formula: Edidin-Graham, "Localization in
+equivariant intersection theory and the Bott residue formula", Amer. J.
+Math. 1998; Brion, arXiv:math/9802063).  Each maximal cone carries its
+dual basis: the rows g_i with g_i . u_j = delta_ij over its rays, from
+one elimination per cone.  For one integer xi with every g_i . xi
+nonzero, the tangent weights at the fixed point are w_i = g_i . xi, D_j
+restricts to w_j for j in sigma and to 0 otherwise, so
+D_1 . ... . D_4 = sum_sigma prod_k l_k / e4(w) with
+l_k = sum_{i in sigma} a^(k)_i w_i, and D_1 . D_2 . c2 =
+sum_sigma l_1 l_2 e2(w) / e4(w), c(T_X) restricting to prod (1 + w_i).
+On a smooth fan the g_i are integers, so the sum is taken over one
+integer common denominator; a non-integral anticanonical result is an
+engine bug, not a property of the input.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cones import RationalCone
@@ -311,68 +313,46 @@ class ToricVariety:
     # -- intersection theory -------------------------------------------
 
     @cached_property
-    def _links(self) -> dict[tuple[int, ...], tuple]:
-        """For every face sigma, its link as ((j, sigma + j, restriction), ...).
+    def _fixed_points(self) -> tuple[int, tuple[tuple[tuple[int, ...], IntVec, int, int], ...]]:
+        """(L, per maximal cone (rays, w, L / e4(w), L e2(w) / e4(w))).
 
-        sigma + j runs over the faces one dimension up and ``restriction``
-        lists the nonzero pairs (i, g_i . u_j), i in sigma, with g_i the
-        dual basis of the first maximal cone containing sigma; the
-        coefficient of D_j after restricting sum_k a_k D_k off sigma is
-        a_j - sum a_i (g_i . u_j).  That sum is empty for j in the same
-        maximal cone.  Requires a smooth fan.
+        w_i = g_i . xi are the tangent weights at the cone's fixed point
+        for xi = (1, B, B^2, ...), B = 2 max|g entries| + 1, so each w_i
+        is a balanced base-B expansion of a nonzero g_i and never 0; L is
+        the lcm of the e4(w).  Requires a smooth fan.
         """
-        rays = self.fan.rays
-        home: dict[tuple[int, ...], tuple[int, ...]] = {}
-        link: dict[tuple[int, ...], set[int]] = {}
-        for c in self.fan.max_cones:
-            m = len(c)
-            for mask in range(1 << m):
-                sigma = tuple(c[i] for i in range(m) if mask >> i & 1)
-                home.setdefault(sigma, c)
-                link.setdefault(sigma, set()).update(
-                    c[i] for i in range(m) if not mask >> i & 1
-                )
-        out = {}
-        for sigma, js in link.items():
-            cone = home[sigma]
-            dual = self._cone_normals[cone]
-            rows = [(i, dual[cone.index(i)]) for i in sigma]
-            entries = []
-            for j in sorted(js):
-                restriction = []
-                if j not in cone:
-                    for i, g in rows:
-                        x = sum(a * b for a, b in zip(g, rays[j]))
-                        if x:
-                            restriction.append((i, x))
-                entries.append((j, tuple(sorted(sigma + (j,))), tuple(restriction)))
-            out[sigma] = tuple(entries)
-        return out
+        normals = self._cone_normals
+        base = 2 * max(abs(x) for rows in normals.values() for g in rows for x in g) + 1
+        xi = [base**t for t in range(self.dim)]
+        weights = [(c, tuple(dot(g, xi) for g in rows)) for c, rows in normals.items()]
+        top = lcm(*(prod(w) for _, w in weights))
+        points = []
+        for c, w in weights:
+            scale = top // prod(w)
+            e2 = (sum(w) ** 2 - sum(x * x for x in w)) // 2
+            points.append((c, w, scale, scale * e2))
+        return top, tuple(points)
 
-    @cached_property
-    def two_cones(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(f for f in self._links if len(f) == 2))
-
-    def _product_on_cycle(
-        self, cycle: dict[tuple[int, ...], int], divisor_vectors: Sequence[Coords]
-    ):
-        """Degree of the divisors' product with sum_sigma coef * V(sigma).
-
-        Exact in the arithmetic of the input: an int for integer input.
+    def _localize(self, divisors: Sequence, c2: bool) -> Fraction:
+        """Bott residue sum of the divisors' product (times c2 when asked):
+        sum over fixed points of prod_k l_k (e2(w) if c2) / e4(w), with
+        l_k = sum_{i in sigma} a^(k)_i w_i.  Rational coefficients are
+        cleared first, so the sum is taken in integers.
         """
-        if any(len(s) + len(divisor_vectors) != self.dim for s in cycle):
-            raise ValueError("degree mismatch: product does not reach dimension 0")
-        links = self._links
-        terms = cycle
-        for vec in divisor_vectors:
-            nxt: dict = {}
-            for sigma, coef in terms.items():
-                for j, tau, restriction in links.get(sigma, ()):
-                    a = vec[j] - sum(vec[i] * x for i, x in restriction)
-                    if a:
-                        nxt[tau] = nxt.get(tau, 0) + coef * a
-            terms = {s: c for s, c in nxt.items() if c}
-        return sum(terms.values())
+        vectors, denom = [], 1
+        for d in divisors:
+            vec = self.lift(d) if isinstance(d, DivisorClass) else _as_coords(d)
+            q = lcm(*(x.denominator for x in vec))
+            vectors.append([x.numerator * (q // x.denominator) for x in vec])
+            denom *= q
+        top, points = self._fixed_points
+        total = 0
+        for cone, w, scale, c2_scale in points:
+            term = c2_scale if c2 else scale
+            for vec in vectors:
+                term *= sum(vec[i] * x for i, x in zip(cone, w))
+            total += term
+        return Fraction(total, top * denom)
 
     def intersection_number(self, *divisors: Union[DivisorClass, Sequence]) -> Fraction:
         """Exact top intersection number of dim-many divisor classes."""
@@ -381,28 +361,18 @@ class ToricVariety:
             raise ValidationError("intersection numbers are implemented for 4-folds")
         if len(divisors) != self.dim:
             raise ValueError(f"need exactly {self.dim} divisor classes")
-        vectors = []
-        for d in divisors:
-            if isinstance(d, DivisorClass):
-                vectors.append(self.lift(d))
-            else:
-                vectors.append(_as_coords(d))
-        return Fraction(self._product_on_cycle({(): 1}, vectors))
+        return self._localize(divisors, c2=False)
 
     def c2_product(
         self,
         d1: Union[DivisorClass, Sequence],
         d2: Union[DivisorClass, Sequence],
     ) -> Fraction:
-        """D1 . D2 . c2(X), with c2 the sum of the invariant-surface classes."""
+        """D1 . D2 . c2(X), with c2(X) = e2 of the tangent weights."""
         self._require_smooth()
         if self.dim != 4:
             raise ValidationError("c2 pairing is implemented for 4-folds")
-        vecs = [
-            self.lift(d) if isinstance(d, DivisorClass) else _as_coords(d)
-            for d in (d1, d2)
-        ]
-        return Fraction(self._product_on_cycle(dict.fromkeys(self.two_cones, 1), vecs))
+        return self._localize((d1, d2), c2=True)
 
     def c2_pairing(self, d: Union[DivisorClass, Sequence]) -> Fraction:
         """D^2 . c2(X)."""
@@ -418,7 +388,12 @@ class ToricVariety:
             deg = self.intersection_number(mk, mk, mk, mk)
             c2 = self.c2_pairing(mk)
             if deg.denominator != 1 or c2.denominator != 1:
-                raise ValidationError("anticanonical intersection numbers not integral")
+                from .mori import InternalCheckError  # mori imports this module
+
+                raise InternalCheckError(
+                    f"(-K)^4 = {deg} and (-K)^2.c2 = {c2} are not both integers"
+                    f" on fan {self.fan.content_hash()}"
+                )
             self._ledger = LedgerState.from_geometry(
                 degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
             )

@@ -8,6 +8,11 @@ from toricfano.cones import RationalCone, dual_extreme_rays
 from toricfano.lattice import dot, integer_kernel, primitive_vector, rational_rank
 
 
+def full_space(dim):
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return RationalCone.from_generators(units + [tuple(-x for x in u) for u in units], dim)
+
+
 def brute_force_facets(gens, dim):
     """Facet normals of a full-dimensional cone by subset enumeration:
     every facet hyperplane is spanned by dim-1 generators."""
@@ -140,7 +145,7 @@ def test_dual_dual_is_identity_pointed_and_not():
         RationalCone.from_generators([(1, 0), (1, 2)]),
         RationalCone.from_generators([(1, 0, 0), (0, 1, 0), (0, -1, 0)]),
         RationalCone.zero(2),
-        RationalCone.full_space(3),
+        full_space(3),
     ]
     for c in cones:
         assert c.dual().dual() == c

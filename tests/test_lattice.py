@@ -8,13 +8,16 @@ from toricfano.lattice import (
     det_int,
     hermite_normal_form,
     integer_kernel,
-    mat_mul,
     primitive_vector,
     rational_rank,
     solve_integer,
     solve_rational,
     transpose,
 )
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
 
 small_ints = st.integers(min_value=-9, max_value=9)
 entries = st.one_of(small_ints, st.fractions(min_value=-9, max_value=9, max_denominator=7))

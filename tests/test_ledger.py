@@ -14,11 +14,15 @@ from toricfano.ledger import (
     apply_flip,
     apply_plane_blowup,
     apply_point_blowup,
-    chi_general,
     h0_bound_rho1,
     max_point_blowups,
     run_script,
 )
+
+
+def chi_general(D4, KD3, D2_K2_plus_c2, D_K_c2, chi_O=1):
+    """4-fold Riemann-Roch: chi(D) from D^4, K.D^3, D^2.(K^2+c2), D.K.c2."""
+    return Fraction(D4 - 2 * KD3 + D2_K2_plus_c2 - D_K_c2, 24) + chi_O
 
 
 def test_chi_general_zero_divisor():

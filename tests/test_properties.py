@@ -1,8 +1,9 @@
 """Cross-cutting randomized and oracle-backed property tests."""
 
+import functools
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from toricfano.cones import RationalCone
 from toricfano.fan import Fan
 from toricfano.lattice import dot, primitive_vector
-from toricfano.library import bl_pt_p4, builtin, p4
+from toricfano.library import bl_pt_p4, builtin, p4, product_fan
 from toricfano.mori import cone_suite, mori_chambers
 from toricfano.surgery import blowup, contract, extremal_rays, flip, ne_cone
 from toricfano.variety import ToricVariety
@@ -103,14 +104,15 @@ def test_intersection_multilinear_random(quads):
     assert X.intersection_number(*doubled) == 2 * v
 
 
-# -- the dual-basis kernel against the Fraction restriction it replaced ----
+# -- the fixed-point kernel against the Fraction restriction it replaced ----
 
 
-def _reference_product_on_cycle(X, start, vectors):
-    """Iterated restriction as computed before the dual-basis kernel: per
-    face one rational solve for m with m . u_i = a_i on the face, then a
-    scan over all rays for the faces one dimension up, in Fraction
-    arithmetic throughout."""
+def _reference_product_on_cycle(X, cycle, vectors):
+    """Degree of the divisors' product with sum_sigma coef * V(sigma) by
+    iterated restriction to orbit closures, as computed before the
+    fixed-point kernel: per face one rational solve for m with
+    m . u_i = a_i on the face, then a scan over all rays for the faces
+    one dimension up, in Fraction arithmetic throughout."""
     from toricfano.lattice import solve_rational
 
     faces = {
@@ -118,7 +120,7 @@ def _reference_product_on_cycle(X, start, vectors):
         for c in X.fan.max_cones
         for mask in range(1 << len(c))
     }
-    terms = {tuple(start): Fraction(1)}
+    terms = {sigma: Fraction(coef) for sigma, coef in cycle.items()}
     for vec in vectors:
         nxt = {}
         for sigma, coef in terms.items():
@@ -134,12 +136,38 @@ def _reference_product_on_cycle(X, start, vectors):
     return sum(terms.values(), Fraction(0))
 
 
-@pytest.mark.parametrize("name", CORPUS)
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_intersections_match_fraction_reference(name, data):
-    # Integer divisor vectors, or the same halved into half-integers.
+def _two_cones(X):
+    return sorted({p for c in X.fan.max_cones for p in combinations(c, 2)})
+
+
+def _bott_sum(X, xi, vectors, c2):
+    """The fixed-point sum for another weight xi, in Fraction arithmetic."""
+    total = Fraction(0)
+    for cone, rows in X._cone_normals.items():
+        w = [dot(g, xi) for g in rows]
+        term = Fraction(1, w[0] * w[1] * w[2] * w[3])
+        if c2:
+            term *= sum(a * b for a, b in combinations(w, 2))
+        for vec in vectors:
+            term *= sum(vec[i] * x for i, x in zip(cone, w))
+        total += term
+    return total
+
+
+@functools.cache
+def _reference_models(name):
+    """The builtin, its other chamber models, and its blow-ups at a face
+    of 2, 3 and 4 rays of its first maximal cone."""
     X = builtin(name)
+    chambers = [
+        ToricVariety(f) for f in mori_chambers(X).fans if f.canonical_key() != X.fan.canonical_key()
+    ]
+    cone = X.fan.max_cones[0]
+    return [X] + chambers + [blowup(X, cone[:k]) for k in (2, 3, 4)]
+
+
+def _check_against_reference(X, data):
+    # Integer divisor vectors, or the same halved into half-integers.
     entries = st.lists(st.integers(min_value=-3, max_value=3), min_size=X.n_rays, max_size=X.n_rays)
     half = data.draw(st.booleans())
     vecs = [
@@ -148,20 +176,81 @@ def test_intersections_match_fraction_reference(name, data):
     ]
     value = X.intersection_number(*vecs)
     assert type(value) is Fraction
-    assert value == _reference_product_on_cycle(X, (), vecs)
+    assert value == _reference_product_on_cycle(X, {(): 1}, vecs)
     c2 = X.c2_product(vecs[0], vecs[1])
     assert type(c2) is Fraction
-    assert c2 == sum(
-        (_reference_product_on_cycle(X, s, vecs[:2]) for s in X.two_cones), Fraction(0)
-    )
+    # c2 is the sum of the invariant surfaces V(tau), tau a 2-cone.
+    assert c2 == _reference_product_on_cycle(X, dict.fromkeys(_two_cones(X), 1), vecs[:2])
+    # Any other weight with no zero tangent weight gives the same sums.
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    xi = [0] * 4
+    while not all(dot(g, xi) for rows in X._cone_normals.values() for g in rows):
+        xi = [rng.randint(-10**6, 10**6) for _ in range(4)]
+    assert _bott_sum(X, xi, vecs, c2=False) == value
+    assert _bott_sum(X, xi, vecs[:2], c2=True) == c2
+
+
+@pytest.mark.parametrize("name", CORPUS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_intersections_match_fraction_reference(name, data):
+    _check_against_reference(builtin(name), data)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_intersections_match_fraction_reference_on_models(name, data):
+    # The chamber models and the blow-ups at 2-, 3- and 4-ray faces.
+    for X in _reference_models(name)[1:]:
+        _check_against_reference(X, data)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_intersection_kernel_stays_integral_on_integer_input(name):
-    X = builtin(name)
-    ones = [1] * X.n_rays
-    assert type(X._product_on_cycle({(): 1}, [ones] * 4)) is int
-    assert type(X._product_on_cycle(dict.fromkeys(X.two_cones, 1), [ones] * 2)) is int
+    rng = random.Random(f"integral-{name}")
+    for X in _reference_models(name):
+        vecs = [[1] * X.n_rays] + [
+            [rng.randint(-5, 5) for _ in range(X.n_rays)] for _ in range(3)
+        ]
+        assert X.intersection_number(*vecs).denominator == 1
+        assert X.c2_product(vecs[0], vecs[1]).denominator == 1
+        assert X.c2_product(vecs[2], vecs[3]).denominator == 1
+
+
+# -- the anticanonical ledger against a closed form on products of surfaces --
+
+
+def _polygon_fan(rays):
+    """Complete fan of a smooth toric surface, rays in cyclic order."""
+    n = len(rays)
+    return Fan.make(2, [list(r) for r in rays], [[i, (i + 1) % n] for i in range(n)])
+
+
+DEL_PEZZO = {
+    "P2": [(1, 0), (0, 1), (-1, -1)],
+    "P1xP1": [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    "F1": [(1, 0), (0, 1), (-1, 1), (0, -1)],
+    "S7": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+    "S3": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+}
+
+
+@pytest.mark.parametrize(
+    "s,t", list(combinations_with_replacement(DEL_PEZZO, 2)), ids="x".join
+)
+def test_ledger_of_del_pezzo_products_matches_closed_form(s, t):
+    # On S x T with e rays and k = K^2 = 12 - e per factor: -K = -K_S - K_T,
+    # c2 = c2(S) + c1(S) c1(T) + c2(T) and chi(-K) = chi(-K_S) chi(-K_T).
+    X = ToricVariety(product_fan(_polygon_fan(DEL_PEZZO[s]), _polygon_fan(DEL_PEZZO[t])))
+    e_s, e_t = len(DEL_PEZZO[s]), len(DEL_PEZZO[t])
+    k_s, k_t = 12 - e_s, 12 - e_t
+    ledger = X.ledger_state()
+    assert ledger.degK4 == 6 * k_s * k_t
+    assert ledger.c2K2 == k_s * e_t + k_t * e_s + 2 * k_s * k_t
+    assert ledger.chi_minusK == (k_s + 1) * (k_t + 1)
+    assert ledger.rho == X.rho == e_s + e_t - 4
+    assert X.is_fano and ledger.fano_flag
 
 
 # -- blow-up / contract round trips on random centers -------------------
@@ -420,8 +509,7 @@ def _lattice_points_of_nef(X, coeffs):
 
 
 def _chi_by_riemann_roch(X, coeffs):
-    from toricfano.ledger import chi_general
-
+    # chi(D) = (D^4 - 2 K.D^3 + D^2.(K^2 + c2) - D.K.c2) / 24 + chi(O).
     D = X.divisor_class(coeffs)
     K = -1 * X.anticanonical_class
     D4 = X.intersection_number(D, D, D, D)
@@ -429,7 +517,7 @@ def _chi_by_riemann_roch(X, coeffs):
     K2D2 = X.intersection_number(K, K, D, D)
     D2c2 = X.c2_pairing(D)
     DKc2 = X.c2_product(D, K)
-    return chi_general(D4, KD3, K2D2 + D2c2, DKc2, chi_O=1)
+    return (D4 - 2 * KD3 + K2D2 + D2c2 - DKc2) / 24 + 1
 
 
 def _is_nef(X, coeffs):

@@ -529,13 +529,18 @@ def test_extremal_rays_build_no_variety(walked_models, monkeypatch):
     assert [extremal_rays(X) for X in fresh] == reference
 
 
-def test_every_divisorial_ray_contracts_its_own_center(walked_models):
-    # One blow-up per maximal cone, of a face of 2, 3 or 4 rays in turn.
-    cases = list(walked_models) + [
+@pytest.fixture(scope="module")
+def walked_and_blown_up(walked_models):
+    """The walked models plus one blow-up per maximal cone of each, of a
+    face of 2, 3 or 4 rays in turn; most blow-ups are not Fano."""
+    return list(walked_models) + [
         blowup(X, cone[: 2 + k % 3]) for X in walked_models for k, cone in enumerate(X.fan.max_cones)
     ]
+
+
+def test_every_divisorial_ray_contracts_its_own_center(walked_and_blown_up):
     targets = {True: 0, False: 0}
-    for X in cases:
+    for X in walked_and_blown_up:
         for c, d in extremal_rays(X):
             if d.kind != "divisorial":
                 continue
@@ -543,6 +548,21 @@ def test_every_divisorial_ray_contracts_its_own_center(walked_models):
             assert {w.positive_rays for w in walls} == {d.center}
             Y = contract(X, d.exc_rays[0], d.center, allow_singular=True)
             assert Y.rho == X.rho - 1
-            assert Y.is_smooth == (d.type_label or "").endswith("^sm")
+            assert Y.is_smooth == d.type_label.endswith("^sm")
             targets[Y.is_smooth] += 1
-    assert len(cases) >= 434 and targets[True] >= 961 and targets[False] >= 43
+    assert len(walked_and_blown_up) >= 434 and targets[True] >= 961 and targets[False] >= 43
+
+
+def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
+    # A curve center whose relation is not unit, such as
+    # -2 u_6 + u_4 + u_5 + u_7 = 0, is the (3,1) analogue of (3,2).
+    three_one = []
+    for X in walked_and_blown_up:
+        for _, d in extremal_rays(X):
+            if d.kind != "divisorial":
+                continue
+            assert d.type_label is not None
+            assert d.type_label.startswith(f"(3,{d.image_dim})")
+            if d.type_label == "(3,1)":
+                three_one.append(sorted(x for x in d.relation_sample if x))
+    assert three_one == [[-2, 1, 1, 1]] * 3
