@@ -59,16 +59,16 @@ class Session:
     registry: Path
     cache: dict[str, ToricVariety] = field(default_factory=dict)
 
-    def resolve(self, name: str, *, allow_singular: bool = False) -> ToricVariety:
+    def resolve(self, name: str) -> ToricVariety:
         if name in self.cache:
             return self.cache[name]
         path = Path(name)
         if path.suffix == ".json" or path.exists():
-            X = self._load_path(path, allow_singular)
+            X = self._load_path(path)
         else:
             reg_path = self.registry / f"{name}.json"
             if reg_path.exists():
-                X = self._load_path(reg_path, allow_singular)
+                X = self._load_path(reg_path)
             else:
                 try:
                     X = builtin(name)
@@ -81,30 +81,29 @@ class Session:
         self.cache[name] = X
         return X
 
-    def _load_path(self, path: Path, allow_singular: bool) -> ToricVariety:
-        fan = _read_fan(path)
+    def _load_path(self, path: Path) -> ToricVariety:
+        # Singular contraction targets are registrable; carry them
+        # flagged rather than refusing to load them back.
         try:
-            return ToricVariety(fan, allow_singular=allow_singular, name=path.stem)
-        except ValidationError:
-            # Singular contraction targets are registrable; carry them
-            # flagged rather than refusing to load them back.
-            try:
-                return ToricVariety(fan, allow_singular=True, name=path.stem)
-            except ValidationError as e:
-                raise CliError(f"{path}: {e}") from None
+            return ToricVariety(_read_fan(path), allow_singular=True, name=path.stem)
+        except ValidationError as e:
+            raise CliError(f"{path}: {e}") from None
 
     def register(self, name: str, X: ToricVariety, move: str) -> Path:
-        self.registry.mkdir(parents=True, exist_ok=True)
         out = self.registry / f"{name}.json"
         payload = fan_to_json(X.fan) + "\n"
-        if out.exists() and out.read_text() != payload:
-            raise CliError(
-                f"registry name {name!r} already taken by a different fan; "
-                "pick another with --as"
-            )
-        out.write_text(payload)
-        with (self.registry / "moves.log").open("a") as fh:
-            fh.write(f"{name}: {move}\n")
+        try:
+            self.registry.mkdir(parents=True, exist_ok=True)
+            if out.exists() and out.read_text() != payload:
+                raise CliError(
+                    f"registry name {name!r} already taken by a different fan; "
+                    "pick another with --as"
+                )
+            out.write_text(payload)
+            with (self.registry / "moves.log").open("a") as fh:
+                fh.write(f"{name}: {move}\n")
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(f"cannot register {name!r} in {self.registry}: {e}") from None
         self.cache[name] = X
         return out
 
@@ -134,12 +133,20 @@ def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
         raise CliError(f"{what} must be a comma-separated list of integers") from None
 
 
-def _read_fan(path: Path) -> Fan:
+def _read_text(path: Path) -> str:
     if not path.exists():
         raise CliError(f"no such file: {path}")
     try:
-        return fan_from_json(path.read_text())
-    except (OSError, UnicodeDecodeError, ValidationError) as e:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"{path}: {e}") from None
+
+
+def _read_fan(path: Path) -> Fan:
+    text = _read_text(path)
+    try:
+        return fan_from_json(text)
+    except ValidationError as e:
         raise CliError(f"{path}: {e}") from None
 
 
@@ -192,6 +199,8 @@ def cmd_info(session: Session, args) -> int:
 def _surgery_report(
     session: Session, args, X: ToricVariety, Y: ToricVariety, move: str, data: dict
 ) -> int:
+    if args.as_name and (Path(args.as_name).name != args.as_name or args.as_name == ".."):
+        raise CliError(f"--as {args.as_name!r} is not a single path component")
     new_name = args.as_name or f"{args.name}_{move}"
     out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
     lb = X.ledger_state() if X.is_smooth else None
@@ -392,10 +401,7 @@ def cmd_delta(session: Session, args) -> int:
 
 
 def cmd_ledger(session: Session, args) -> int:
-    path = Path(args.script)
-    if not path.exists():
-        raise CliError(f"no such file: {path}")
-    steps = run_script(path.read_text())
+    steps = run_script(_read_text(Path(args.script)))
     if args.json:
         _emit_json(
             {

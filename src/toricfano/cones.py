@@ -11,11 +11,15 @@ generators as +/- pairs (canonically, the HNF basis of the lineality
 lattice), and the pointed part is recorded by the extreme rays of the
 cone intersected with the orthogonal complement of the lineality.
 
-The V <-> H conversion is Motzkin-style double description with the
-algebraic (rank-based) adjacency test; exact over Z throughout.  It
-keeps no memo: a cone that is needed more than once is kept by its
-owner (the cone of curves on its variety), and the chamber walk's
-cross-checks read the normals of cones already built.
+The V <-> H conversion is Motzkin-style double description, exact
+over Z throughout.  Each ray carries the set of constraints it is
+tight on as an int bitmask, so a new halfspace costs one dot product
+per ray.  Two rays are adjacent by the combinatorial test alone
+(Fukuda-Prodon, "Double description method revisited", 1996): they
+share at least dim - 2 tight constraints and no third ray is tight on
+all of them.  It keeps no memo: a cone that is needed more than once
+is kept by its owner (the cone of curves on its variety), and the
+chamber walk's cross-checks read the normals of cones already built.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .lattice import (
+    _row_reduce,
     dot,
+    dual_basis,
     integer_kernel,
     primitive_vector,
     rational_rank,
-    solve_rational,
     transpose,
 )
 
@@ -57,66 +62,41 @@ def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> list[IntVec]:
     """Extreme rays of {y : a.y >= 0 for a in constraints}, assuming the
     constraint matrix has full rank ``dim`` (no lineality).
 
-    Classic double description: start from a simplicial subcone cut out
-    by ``dim`` independent constraints, then slice in the remaining
-    halfspaces, combining adjacent rays across each new hyperplane.
+    Classic double description: start from the simplicial subcone cut
+    out by the first ``dim`` independent constraints, then slice in the
+    remaining halfspaces, combining adjacent rays across each new
+    hyperplane.  Each ray carries the constraints it is tight on as a
+    bitmask (bit j for constraint j).
     """
     if dim == 0:
         return []
-    # Greedy choice of dim independent rows for the initial simplex.
-    base: list[int] = []
-    for idx in range(len(constraints)):
-        if rational_rank([constraints[i] for i in base] + [constraints[idx]]) > len(base):
-            base.append(idx)
-            if len(base) == dim:
-                break
+    base = [col for _, col in _row_reduce(transpose(constraints), len(constraints))]
     if len(base) < dim:
         raise ValueError("constraint matrix does not have full rank")
-    rays: list[IntVec] = []
-    bmat = [constraints[i] for i in base]
-    for k in range(dim):
-        rhs = [1 if i == k else 0 for i in range(dim)]
-        col = solve_rational(bmat, rhs)
-        assert col is not None
-        rays.append(primitive_vector(col))
-    processed = list(base)
-
-    def tight_rows(ray: IntVec) -> list[int]:
-        return [j for j in processed if dot(constraints[j], ray) == 0]
-
+    full = sum(1 << i for i in base)
+    rays = list(zip(dual_basis([constraints[i] for i in base]), (full ^ (1 << i) for i in base)))
     for idx in range(len(constraints)):
-        if idx in base:
+        bit = 1 << idx
+        if full & bit:
             continue
         a = constraints[idx]
-        vals = {r: dot(a, r) for r in rays}
-        pos = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        neg = [r for r in rays if vals[r] < 0]
-        processed.append(idx)
-        if not neg:
-            continue
-        new_rays = pos + zero
-        if pos:
-            tight = {r: set(tight_rows(r)) for r in rays}
-            for rp in pos:
-                for rn in neg:
-                    common = tight[rp] & tight[rn]
-                    others = [
-                        r
-                        for r in rays
-                        if r is not rp and r is not rn and common <= tight[r]
-                    ]
-                    if others:
-                        continue
-                    rank = rational_rank([constraints[j] for j in common]) if common else 0
-                    if rank != dim - 2:
-                        continue
-                    combo = tuple(
-                        vals[rp] * rn[k] - vals[rn] * rp[k] for k in range(dim)
-                    )
-                    new_rays.append(primitive_vector(combo))
-        rays = _dedupe_primitive(new_rays)
-    return rays
+        vals = [dot(a, r) for r, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new_rays = [(r, t | bit if v == 0 else t) for (r, t), v in zip(rays, vals) if v >= 0]
+        for p in pos:
+            rp, tp = rays[p]
+            for n in neg:
+                rn, tn = rays[n]
+                common = tp & tn
+                if common.bit_count() < dim - 2 or any(
+                    t & common == common for k, (_, t) in enumerate(rays) if k != p and k != n
+                ):
+                    continue
+                combo = [vals[p] * x - vals[n] * y for x, y in zip(rn, rp)]
+                new_rays.append((primitive_vector(combo), common | bit))
+        rays = new_rays
+    return [r for r, _ in rays]
 
 
 def dual_extreme_rays(vectors: Sequence[Sequence[int]], ambient_dim: int) -> list[IntVec]:

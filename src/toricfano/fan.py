@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .lattice import _row_reduce, det_int, dot, primitive_vector, vector_gcd
+from .lattice import det_int, dot, dual_basis, vector_gcd
 
 IntVec = tuple[int, ...]
 
@@ -211,30 +211,6 @@ def _structural_check(fan: Fan) -> Optional[str]:
     return None
 
 
-def _cone_inward_normals(fan: Fan, cone: Sequence[int]) -> list[IntVec]:
-    """Primitive inward facet normals of a simplicial cone, one per ray.
-
-    The i-th row is the primitive positive multiple of the dual-basis
-    row g_i with g_i . u_j = delta_ij over the cone's rays u_j, i.e. the
-    inward normal of the facet obtained by dropping ray i.  All rows come
-    from one fraction-free elimination of [U^T | I]: it leaves
-    [diag(p) | diag(p) (U^T)^-1], so the right half of row i is p_i g_i.
-    On a unimodular cone the rows are the dual basis itself.
-    """
-    n = fan.dim
-    work = [
-        [fan.rays[j][t] for j in cone] + [1 if s == t else 0 for s in range(n)]
-        for t in range(n)
-    ]
-    pivots = _row_reduce(work, len(cone))
-    assert len(pivots) == len(cone) == n, "cone is not simplicial and full-dimensional"
-    rows = []
-    for row, col in pivots:
-        sign = 1 if work[row][col] > 0 else -1
-        rows.append(primitive_vector([sign * x for x in work[row][n:]]))
-    return rows
-
-
 def _same_side_pair(
     fan: Fan, ridge: tuple[int, ...], cones: list[tuple[int, ...]], normals: dict
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -277,6 +253,12 @@ def validate(fan: Fan) -> ValidationReport:
     the fan complete and face-compatible (two disjoint complete fans
     cover it twice).
 
+    Smoothness and both geometric checks read one ``dual_basis`` per
+    maximal cone, its primitive inward facet normals: a cone is
+    unimodular exactly when each normal pairs to 1 with its own ray,
+    and a degenerate cone has no dual basis.  The determinant is taken
+    only to word the first failing cone's ``|det| = d``.
+
     Cached on the fan; 1024 entries hold every distinct fan a chamber
     walk or an exhaustive MMP on the builtins visits, with room to spare.
     """
@@ -300,31 +282,21 @@ def validate(fan: Fan) -> ValidationReport:
         )
     )
 
-    non_unimodular = []
-    for c in fan.max_cones:
-        d = det_int([list(fan.rays[i]) for i in c])
-        if abs(d) != 1:
-            non_unimodular.append((c, d))
-    checks.append(
-        CheckResult(
-            "smoothness",
-            not non_unimodular,
-            ""
-            if not non_unimodular
-            else f"cone {list(non_unimodular[0][0])} has |det| = {abs(non_unimodular[0][1])}",
-        )
-    )
-    if non_unimodular or bad_prim:
-        simplicial_ok = all(
-            det_int([list(fan.rays[i]) for i in c]) != 0 for c in fan.max_cones
-        )
-        if not simplicial_ok:
-            checks.append(
-                CheckResult("face_compatibility", False, "a maximal cone is degenerate")
-            )
-            return ValidationReport(tuple(checks))
+    normals = {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
+    singular = [
+        c
+        for c, rows in normals.items()
+        if rows is None or any(dot(g, fan.rays[i]) != 1 for g, i in zip(rows, c))
+    ]
+    detail = ""
+    if singular:
+        c = singular[0]
+        detail = f"cone {list(c)} has |det| = {abs(det_int([fan.rays[i] for i in c]))}"
+    checks.append(CheckResult("smoothness", not singular, detail))
+    if None in normals.values():
+        checks.append(CheckResult("face_compatibility", False, "a maximal cone is degenerate"))
+        return ValidationReport(tuple(checks))
 
-    normals = {c: _cone_inward_normals(fan, c) for c in fan.max_cones}
     facet_map = fan.facets()
     bad = ""
     for ridge, cones in facet_map.items():

@@ -169,6 +169,23 @@ def _row_reduce(rows: IntMatrix, cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+def dual_basis(m: Sequence[Sequence[int]]) -> Optional[list[IntVector]]:
+    """The primitive g_i with g_i . v_j = 0 for j != i and g_i . v_i > 0,
+    over the rows v_j of a square integer matrix M; None when M is
+    singular.
+
+    One fraction-free elimination of [M^T | I] leaves
+    [diag(p) | diag(p) (M^T)^-1], so the right half of row i is p_i
+    times the i-th dual-basis row; it is negated where p_i < 0.  When
+    |det M| = 1 the rows are the dual basis itself.
+    """
+    n = len(m)
+    work = [[v[t] for v in m] + [int(s == t) for s in range(n)] for t in range(n)]
+    if len(_row_reduce(work, n)) < n:
+        return None
+    return [primitive_vector(r[n:] if r[i] > 0 else [-x for x in r[n:]]) for i, r in enumerate(work)]
+
+
 def rational_rank(m: Sequence[Sequence]) -> int:
     """Rank over Q, by fraction-free Gaussian elimination."""
     if not m:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 from .cones import RationalCone, dual_extreme_rays
 from .fan import Fan
-from .lattice import _row_reduce, det_int, dot, primitive_vector, rational_rank
+from .lattice import det_int, dot, dual_basis, primitive_vector, rational_rank
 from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
@@ -489,30 +489,25 @@ class ChamberFan:
 
 def _gale_inverses(X: ToricVariety) -> list[tuple[IntVec, list[IntVec]]]:
     """(sigma, rows) for each dim-subset sigma of rays with nonzero
-    determinant: the rows of a positive diagonal multiple of the
-    inverse of the matrix whose columns are the classes of the rays
-    outside sigma.
+    determinant: the ``dual_basis`` of the classes of the rays outside
+    sigma, so a weight's coordinates in that basis have the signs of its
+    dot products with the rows.
 
     By Gale duality those rho classes form a basis of the class group
-    exactly when the rays of sigma are independent.  One fraction-free
-    reduction of [B^T | I] leaves row i as p_i e_i | p_i (B^T)^-1_i;
-    rows are negated where p_i < 0, so a weight's coordinates in the
-    basis have the signs of its dot products with the rows.
+    exactly when the rays of sigma are independent.
     """
-    rho = X.rho
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
     out = []
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
             continue
-        complement = [classes[j] for j in range(X.n_rays) if j not in sigma]
-        rows = [[c[k] for c in complement] + [int(i == k) for i in range(rho)] for k in range(rho)]
-        if len(_row_reduce(rows, rho)) < rho:
+        rows = dual_basis([classes[j] for j in range(X.n_rays) if j not in sigma])
+        if rows is None:
             raise InternalCheckError(
                 f"Gale duality failure: the classes outside the independent rays {list(sigma)}"
                 f" are not a basis on fan {X.fan.content_hash()}"
             )
-        out.append((sigma, [tuple(x if r[k] > 0 else -x for x in r[rho:]) for k, r in enumerate(rows)]))
+        out.append((sigma, rows))
     return out
 
 

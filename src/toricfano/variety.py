@@ -33,8 +33,8 @@ from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cones import RationalCone
-from .fan import Fan, ValidationError, ValidationReport, _cone_inward_normals, validated
-from .lattice import dot, hermite_normal_form, integer_kernel, primitive_vector, transpose
+from .fan import Fan, ValidationError, ValidationReport, validated
+from .lattice import dot, dual_basis, hermite_normal_form, integer_kernel, primitive_vector, transpose
 from .ledger import LedgerState
 
 if TYPE_CHECKING:
@@ -242,7 +242,7 @@ class ToricVariety:
     def _cone_normals(self) -> dict[tuple[int, ...], list[IntVec]]:
         """Per maximal cone, the primitive inward facet normals, one per
         ray; on a smooth fan they are the dual basis g_i."""
-        return {c: _cone_inward_normals(self.fan, c) for c in self.fan.max_cones}
+        return {c: dual_basis([self.fan.rays[i] for i in c]) for c in self.fan.max_cones}
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:

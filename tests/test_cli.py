@@ -207,6 +207,47 @@ def test_ledger_bad_script(capsys, registry, tmp_path):
     assert "start" in err
 
 
+def test_ledger_on_a_directory_is_input_error(capsys, registry, tmp_path):
+    code, out, err = run(capsys, "--registry", registry, "ledger", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and "Is a directory" in err
+
+
+def test_ledger_on_non_utf8_script_is_input_error(capsys, registry, tmp_path):
+    script = tmp_path / "latin1.txt"
+    script.write_bytes("start P4\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "--registry", registry, "ledger", str(script))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {script}: ") and "can't decode" in err
+
+
+def test_registry_that_is_a_file_is_input_error(capsys, tmp_path):
+    registry = tmp_path / "taken"
+    registry.write_text("not a directory\n")
+    code, out, err = run(
+        capsys, "--registry", str(registry), "blowup", "P4", "--center", "0,1,2,3", "--as", "B"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot register 'B' in {registry}: ") and "File exists" in err
+
+
+@pytest.mark.parametrize("name", ["a/b", "..", "a/", "/abs"])
+def test_as_name_must_be_one_path_component(capsys, registry, name):
+    code, out, err = run(
+        capsys, "--registry", registry, "blowup", "P4", "--center", "0,1,2,3", "--as", name
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --as {name!r} is not a single path component\n"
+
+
+def test_register_into_a_missing_subdirectory_is_input_error(tmp_path):
+    from toricfano.cli import CliError, Session
+
+    session = Session(registry=tmp_path / "fans")
+    with pytest.raises(CliError, match="cannot register 'a/b' in .*No such file or directory"):
+        session.register("a/b", p4(), "test")
+
+
 def test_flip_and_involution_via_cli(capsys, registry):
     code, out, _ = run(
         capsys, "--registry", registry, "--json",

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import cones
 from toricfano.cones import RationalCone, dual_extreme_rays
-from toricfano.lattice import dot, integer_kernel, primitive_vector, rational_rank
+from toricfano.lattice import dot, integer_kernel, primitive_vector, rational_rank, solve_rational
 
 
 def full_space(dim):
@@ -249,3 +250,78 @@ def test_dual_extreme_rays_returns_a_fresh_list():
     second = dual_extreme_rays(vecs, 3)
     assert second == expected
     assert second is not first
+
+
+def _reference_pointed_extreme_rays(constraints, dim):
+    """Double description as it was before tight sets were carried: a
+    greedy rank-test base, one rational solve per initial ray, every
+    tight set recomputed per halfspace and the algebraic (rank)
+    adjacency test next to the combinatorial one."""
+    if dim == 0:
+        return []
+    base = []
+    for idx in range(len(constraints)):
+        if rational_rank([constraints[i] for i in base] + [constraints[idx]]) > len(base):
+            base.append(idx)
+            if len(base) == dim:
+                break
+    if len(base) < dim:
+        raise ValueError("constraint matrix does not have full rank")
+    bmat = [constraints[i] for i in base]
+    rays = [
+        primitive_vector(solve_rational(bmat, [int(i == k) for i in range(dim)]))
+        for k in range(dim)
+    ]
+    processed = list(base)
+    for idx in range(len(constraints)):
+        if idx in base:
+            continue
+        a = constraints[idx]
+        vals = {r: dot(a, r) for r in rays}
+        pos = [r for r in rays if vals[r] > 0]
+        zero = [r for r in rays if vals[r] == 0]
+        neg = [r for r in rays if vals[r] < 0]
+        processed.append(idx)
+        if not neg:
+            continue
+        new_rays = pos + zero
+        tight = {r: {j for j in processed if dot(constraints[j], r) == 0} for r in rays}
+        for rp in pos:
+            for rn in neg:
+                common = tight[rp] & tight[rn]
+                if any(r not in (rp, rn) and common <= tight[r] for r in rays):
+                    continue
+                rank = rational_rank([constraints[j] for j in common]) if common else 0
+                if rank != dim - 2:
+                    continue
+                combo = [vals[rp] * x - vals[rn] * y for x, y in zip(rn, rp)]
+                new_rays.append(primitive_vector(combo))
+        rays = list(dict.fromkeys(new_rays))
+    return rays
+
+
+@st.composite
+def degenerate_constraints(draw):
+    """Constraints in dimension 2..7, half of them 0/1 sums of two or
+    three of the others, so that many rows are tight on each ray."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+    gens = draw(st.lists(vec, min_size=d, max_size=d + 3))
+    picks = st.sets(st.integers(min_value=0, max_value=len(gens) - 1), min_size=2, max_size=3)
+    sums = [
+        [sum(gens[i][t] for i in pick) for t in range(d)]
+        for pick in draw(st.lists(picks, min_size=len(gens), max_size=len(gens)))
+    ]
+    order = draw(st.permutations(range(2 * len(gens))))
+    rows = gens + sums
+    return d, [rows[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_constraints())
+def test_dual_extreme_rays_match_the_reference_on_degenerate_inputs(case):
+    d, vecs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_pointed_extreme_rays", _reference_pointed_extreme_rays)
+        expected = dual_extreme_rays(vecs, d)
+    assert dual_extreme_rays(vecs, d) == expected

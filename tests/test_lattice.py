@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from toricfano.lattice import (
     det_int,
+    dual_basis,
     hermite_normal_form,
     integer_kernel,
     primitive_vector,
@@ -163,6 +164,53 @@ def test_det_int():
     assert det_int([[2, 0], [0, 3]]) == 6
     assert det_int([[0, 1], [1, 0]]) == -1
     assert det_int([[1, 2], [2, 4]]) == 0
+
+
+def _assert_dual_basis(m, rows):
+    assert len(rows) == len(m)
+    for i, g in enumerate(rows):
+        assert primitive_vector(g) == g
+        pairings = [sum(a * b for a, b in zip(g, v)) for v in m]
+        assert pairings[i] > 0
+        assert all(x == 0 for j, x in enumerate(pairings) if j != i)
+
+
+def test_dual_basis_of_a_singular_matrix_is_none():
+    assert dual_basis([[1, 2], [2, 4]]) is None
+    assert dual_basis([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) is None
+
+
+def test_dual_basis_on_the_det_6_cone():
+    # The rows of M^-T are not integral; each row is the primitive
+    # positive multiple of its dual-basis row.
+    m = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [1, 1, 1, 1]]
+    rows = dual_basis(m)
+    _assert_dual_basis(m, rows)
+    assert [sum(a * b for a, b in zip(g, v)) for g, v in zip(rows, m)] == [6, 6, 3, 1]
+
+
+def test_dual_basis_of_a_unimodular_matrix_is_its_inverse_transpose():
+    m = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    rows = dual_basis(m)
+    assert [[sum(a * b for a, b in zip(g, v)) for v in m] for g in rows] == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_dual_basis_property(m):
+    rows = dual_basis(m)
+    if det_int(m) == 0:
+        assert rows is None
+    else:
+        _assert_dual_basis(m, rows)
 
 
 def test_transpose_round_trip():

@@ -15,12 +15,11 @@ from toricfano.cones import RationalCone
 from toricfano.fan import (
     Fan,
     ValidationError,
-    _cone_inward_normals,
     fan_from_json,
     fan_to_json,
     validate,
 )
-from toricfano.lattice import primitive_vector, solve_integer, solve_rational
+from toricfano.lattice import dual_basis, primitive_vector, solve_integer, solve_rational
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -105,7 +104,7 @@ def _reference_face_checks(fan):
     """First of face_compatibility/completeness to fail under the pairwise
     reference (all C(m,2) pairs, then two cones per facet and a connected
     facet-adjacency graph), or None when both pass."""
-    normals = {c: _cone_inward_normals(fan, c) for c in fan.max_cones}
+    normals = {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
     for a, c1 in enumerate(fan.max_cones):
         for c2 in fan.max_cones[a + 1 :]:
             if not _reference_pair_meets_in_common_face(fan, c1, c2, normals):
@@ -211,7 +210,7 @@ def test_same_side_ridge_is_named():
     # The witness is real: some normal vanishing on the ridge is positive
     # on both opposite rays.
     k = next(k for k, i in enumerate(c1) if i not in ridge)
-    n = _cone_inward_normals(fan, c1)[k]
+    n = dual_basis([fan.rays[i] for i in c1])[k]
     assert sum(a * b for a, b in zip(n, _opposite(c2, ridge, fan))) > 0
 
 
@@ -246,7 +245,7 @@ def test_double_cover_names_the_point_and_its_cones():
     assert _reference_face_checks(fan) == "face_compatibility"
     assert check.detail == "point [1, 7] lies in 2 maximal cones: [0, 1], [4, 5]"
     for c in ([0, 1], [4, 5]):
-        assert all(sum(a * b for a, b in zip(n, [1, 7])) > 0 for n in _cone_inward_normals(fan, c))
+        assert all(sum(a * b for a, b in zip(n, [1, 7])) > 0 for n in dual_basis([fan.rays[i] for i in c]))
 
 
 def test_double_cover_of_two_merged_4_folds():
@@ -438,7 +437,7 @@ def _reference_cone_normals(fan, cone):
 def test_cone_normals_are_the_dual_basis(name):
     fan = builtin(name).fan
     for cone in fan.max_cones:
-        rows = _cone_inward_normals(fan, cone)
+        rows = dual_basis([fan.rays[i] for i in cone])
         for i, g in enumerate(rows):
             for j, r in enumerate(cone):
                 assert sum(a * b for a, b in zip(g, fan.rays[r])) == (1 if i == j else 0)
@@ -450,7 +449,7 @@ def test_cone_normals_on_non_unimodular_cone():
     rays = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [1, 1, 1, 1]]
     fan = Fan.make(4, rays, [[0, 1, 2, 3]])
     cone = fan.max_cones[0]
-    rows = _cone_inward_normals(fan, cone)
+    rows = dual_basis([fan.rays[i] for i in cone])
     assert rows == _reference_cone_normals(fan, cone)
     for i, g in enumerate(rows):
         pairings = [sum(a * b for a, b in zip(g, fan.rays[r])) for r in cone]
