@@ -201,7 +201,9 @@ def _surgery_report(
 ) -> int:
     if args.as_name and (Path(args.as_name).name != args.as_name or args.as_name == ".."):
         raise CliError(f"--as {args.as_name!r} is not a single path component")
-    new_name = args.as_name or f"{args.name}_{move}"
+    # A fan given by path is named by its file name, so the result lands
+    # in the registry rather than next to the input.
+    new_name = args.as_name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
     out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
     lb = X.ledger_state() if X.is_smooth else None
     la = Y.ledger_state() if Y.is_smooth else None

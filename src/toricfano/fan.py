@@ -22,9 +22,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
-from .lattice import det_int, dot, dual_basis, vector_gcd
+from .lattice import det_int, dual_basis, vector_gcd
 
 IntVec = tuple[int, ...]
 
@@ -43,6 +44,12 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[CheckResult, ...]
+    # Per maximal cone, its ``dual_basis`` rows; empty unless every check
+    # ran.  Shared by every equal fan through ``validate``'s cache, so
+    # read only.
+    dual_bases: dict[tuple[int, ...], list[IntVec]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -221,7 +228,7 @@ def _same_side_pair(
     k = next(k for k, i in enumerate(c1) if i not in ridge)
     n = normals[c1][k]
     for c2 in cones[1:]:
-        if dot(n, fan.rays[next(i for i in c2 if i not in ridge)]) > 0:
+        if sum(map(mul, n, fan.rays[next(i for i in c2 if i not in ridge)])) > 0:
             return c1, c2
     # Every other cone is on the far side; with two of them, they share it.
     return (cones[1], cones[2]) if len(cones) > 2 else None
@@ -237,7 +244,7 @@ def _covering_cones(fan: Fan, normals: dict) -> tuple[list[int], list[tuple[int,
     norm = max(sum(map(abs, n)) for rows in normals.values() for n in rows)
     big = 2 + norm * max(abs(x) for u in base for x in u)
     p = [sum(big**k * u[t] for k, u in enumerate(base)) for t in range(fan.dim)]
-    return p, [c for c in fan.max_cones if all(dot(n, p) > 0 for n in normals[c])]
+    return p, [c for c in fan.max_cones if all(sum(map(mul, n, p)) > 0 for n in normals[c])]
 
 
 @lru_cache(maxsize=1024)
@@ -257,10 +264,15 @@ def validate(fan: Fan) -> ValidationReport:
     maximal cone, its primitive inward facet normals: a cone is
     unimodular exactly when each normal pairs to 1 with its own ray,
     and a degenerate cone has no dual basis.  The determinant is taken
-    only to word the first failing cone's ``|det| = d``.
+    only to word the first failing cone's ``|det| = d``.  The report
+    keeps those bases in ``dual_bases`` (left out of ``as_dict``), so a
+    ``ToricVariety`` reads its cone normals, walls and fixed points from
+    them instead of eliminating again.
 
     Cached on the fan; 1024 entries hold every distinct fan a chamber
-    walk or an exhaustive MMP on the builtins visits, with room to spare.
+    walk or an exhaustive MMP on the builtins visits, with room to spare,
+    and keep each one's dual bases alive with its report, so a rebuilt
+    equal fan costs no elimination at all.
     """
     checks: list[CheckResult] = []
 
@@ -286,7 +298,7 @@ def validate(fan: Fan) -> ValidationReport:
     singular = [
         c
         for c, rows in normals.items()
-        if rows is None or any(dot(g, fan.rays[i]) != 1 for g, i in zip(rows, c))
+        if rows is None or any(sum(map(mul, g, fan.rays[i])) != 1 for g, i in zip(rows, c))
     ]
     detail = ""
     if singular:
@@ -325,7 +337,7 @@ def validate(fan: Fan) -> ValidationReport:
             "" if open_ridge is None else f"facet {list(open_ridge)} lies in 1 maximal cones",
         )
     )
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), normals)
 
 
 def validated(fan: Fan, *, allow_singular: bool = False) -> ValidationReport:

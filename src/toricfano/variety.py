@@ -13,10 +13,10 @@ cone sigma (the Bott residue formula: Edidin-Graham, "Localization in
 equivariant intersection theory and the Bott residue formula", Amer. J.
 Math. 1998; Brion, arXiv:math/9802063).  Each maximal cone carries its
 dual basis: the rows g_i with g_i . u_j = delta_ij over its rays, from
-one elimination per cone.  For one integer xi with every g_i . xi
-nonzero, the tangent weights at the fixed point are w_i = g_i . xi, D_j
-restricts to w_j for j in sigma and to 0 otherwise, so
-D_1 . ... . D_4 = sum_sigma prod_k l_k / e4(w) with
+the one elimination per cone that validation made.  For one integer xi
+with every g_i . xi nonzero, the tangent weights at the fixed point are
+w_i = g_i . xi, D_j restricts to w_j for j in sigma and to 0 otherwise,
+so D_1 . ... . D_4 = sum_sigma prod_k l_k / e4(w) with
 l_k = sum_{i in sigma} a^(k)_i w_i, and D_1 . D_2 . c2 =
 sum_sigma l_1 l_2 e2(w) / e4(w), c(T_X) restricting to prod (1 + w_i).
 On a smooth fan the g_i are integers, so the sum is taken over one
@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError, ValidationReport, validated
-from .lattice import dot, dual_basis, hermite_normal_form, integer_kernel, primitive_vector, transpose
+from .lattice import dot, hermite_normal_form, integer_kernel, primitive_vector, transpose
 from .ledger import LedgerState
 
 if TYPE_CHECKING:
@@ -42,6 +43,11 @@ if TYPE_CHECKING:
 
 IntVec = tuple[int, ...]
 Coords = tuple
+
+
+def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> IntVec:
+    """sum_j coeffs[j] vectors[j]."""
+    return tuple(sum(map(mul, coeffs, col)) for col in zip(*vectors))
 
 
 def _as_coords(v: Sequence) -> Coords:
@@ -216,21 +222,6 @@ class ToricVariety:
                 vec[i] += a * col[i]
         return _as_coords(vec)
 
-    def curve_class_from_relation(self, relation: Sequence[int]) -> CurveClass:
-        """Curve-basis coordinates of an integer relation among the rays.
-
-        The relation lattice is saturated, so an integer relation r is
-        sum_a (r . s_a) k_a over the section columns s_a.
-        """
-        if len(relation) != self.n_rays:
-            raise ValueError("relation has wrong length")
-        if any(x != int(x) for x in relation) or any(
-            sum(x * u[t] for x, u in zip(relation, self.fan.rays))
-            for t in range(self.dim)
-        ):
-            raise ValueError("vector is not an integer relation among the rays")
-        return CurveClass(tuple(int(dot(relation, col)) for col in self._section))
-
     @staticmethod
     def pair(d: DivisorClass, c: CurveClass):
         """Intersection pairing; the identity matrix in these bases."""
@@ -238,11 +229,12 @@ class ToricVariety:
 
     # -- walls ---------------------------------------------------------
 
-    @cached_property
+    @property
     def _cone_normals(self) -> dict[tuple[int, ...], list[IntVec]]:
         """Per maximal cone, the primitive inward facet normals, one per
-        ray; on a smooth fan they are the dual basis g_i."""
-        return {c: dual_basis([self.fan.rays[i] for i in c]) for c in self.fan.max_cones}
+        ray, as validation computed them; on a smooth fan they are the
+        dual basis g_i."""
+        return self.report.dual_bases
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
@@ -253,7 +245,17 @@ class ToricVariety:
         primitive normal n_k is a positive multiple of g_k, so
         lambda_k = (n_k . u_other) / (n_k . u_k); the relation is scaled
         by the lcm of those denominators and made primitive.
+
+        Only those dim + 1 rays can carry a nonzero coefficient, so the
+        rest of the wall is computed on them alone: the check
+        sum_j r_j u_j = 0, and on a smooth fan the curve class
+        sum_j r_j s(j), where s(j) is ray j's row of the section columns
+        s_a (the relation lattice is saturated, so an integer relation r
+        is sum_a (r . s_a) k_a).
         """
+        rays = self.fan.rays
+        bases = self._cone_normals
+        section_rows = list(zip(*self._section)) if self.is_smooth else None
         out = []
         for facet, cones in sorted(self.fan.facets().items()):
             if len(cones) != 2:
@@ -264,30 +266,33 @@ class ToricVariety:
             a, b = min(a, b), max(a, b)
             basis_cone = c1 if a in c1 else c2
             other = b if a in basis_cone else a
-            normals = self._cone_normals[basis_cone]
-            u = self.fan.rays[other]
-            scales = [dot(n, self.fan.rays[j]) for n, j in zip(normals, basis_cone)]
+            normals = bases[basis_cone]
+            u = rays[other]
+            scales = [sum(map(mul, n, rays[j])) for n, j in zip(normals, basis_cone)]
             denom = lcm(*scales)
+            support = (other, *basis_cone)
+            coeffs = [denom] + [-sum(map(mul, n, u)) * (denom // s) for n, s in zip(normals, scales)]
+            g = gcd(*coeffs)
+            coeffs = [x // g for x in coeffs]
             rel = [0] * self.n_rays
-            rel[other] = denom
-            for n, j, s in zip(normals, basis_cone, scales):
-                rel[j] = -dot(n, u) * (denom // s)
-            g = gcd(*rel)
-            rel_int = tuple(x // g for x in rel)
-            if self.is_smooth and (rel_int[a] != 1 or rel_int[b] != 1):
+            for j, x in zip(support, coeffs):
+                rel[j] = x
+            if self.is_smooth and (rel[a] != 1 or rel[b] != 1):
                 raise ValidationError("wall relation is not unimodular on a smooth fan")
-            deg = sum(rel_int)
-            curve = (
-                self.curve_class_from_relation(rel_int)
+            if any(_combination(coeffs, [rays[j] for j in support])):
+                raise ValidationError(f"wall {facet} relation is not a relation among the rays")
+            deg = sum(coeffs)
+            curve = CurveClass(
+                _combination(coeffs, [section_rows[j] for j in support])
                 if self.is_smooth
-                else CurveClass(tuple([0] * self.rho))
+                else tuple([0] * self.rho)
             )
             out.append(
                 Wall(
                     shared=tuple(facet),
                     left=a,
                     right=b,
-                    relation=rel_int,
+                    relation=tuple(rel),
                     curve_class=curve,
                     degK=deg,
                 )
@@ -324,7 +329,7 @@ class ToricVariety:
         normals = self._cone_normals
         base = 2 * max(abs(x) for rows in normals.values() for g in rows for x in g) + 1
         xi = [base**t for t in range(self.dim)]
-        weights = [(c, tuple(dot(g, xi) for g in rows)) for c, rows in normals.items()]
+        weights = [(c, tuple(sum(map(mul, g, xi)) for g in rows)) for c, rows in normals.items()]
         top = lcm(*(prod(w) for _, w in weights))
         points = []
         for c, w in weights:

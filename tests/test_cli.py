@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +108,27 @@ def test_surgery_report_has_deltas(capsys, registry):
         "chi_minusK": -15, "degK4": -81, "c2K2": -18, "rho": 1
     }
     assert obj["input_hash"] != obj["output_hash"]
+    assert obj["output"] == "P4_blowup"
+
+
+@pytest.mark.parametrize("absolute", [True, False])
+def test_surgery_on_a_path_registers_under_the_file_name(capsys, tmp_path, monkeypatch, absolute):
+    (tmp_path / "in").mkdir()
+    path = tmp_path / "in" / "x.json"
+    path.write_text(fan_to_json(p4().fan) + "\n")
+    monkeypatch.chdir(tmp_path)
+    name = str(path) if absolute else "in/x.json"
+    code, out, err = run(
+        capsys, "--registry", "reg", "--json", "blowup", name, "--center", "0,1,2,3"
+    )
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["output"] == "x_blowup"
+    assert obj["registered"] == str(Path("reg", "x_blowup.json"))
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["x.json"]
+    code, out, _ = run(capsys, "--registry", "reg", "--json", "info", "x_blowup")
+    assert code == 0
+    assert json.loads(out)["hash"] == obj["output_hash"]
 
 
 def test_mmp_table(capsys, registry):

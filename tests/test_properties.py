@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from toricfano.cones import RationalCone
 from toricfano.fan import Fan
-from toricfano.lattice import dot, primitive_vector
+from toricfano.lattice import dot, dual_basis, primitive_vector
 from toricfano.library import bl_pt_p4, builtin, p4, product_fan
+from toricfano import mori
 from toricfano.mori import (
     classified_fixed_divisors,
     cone_suite,
@@ -22,7 +24,7 @@ from toricfano.mori import (
     verify_bounds,
 )
 from toricfano.surgery import blowup, contract, extremal_rays, flip, ne_cone
-from toricfano.variety import ToricVariety
+from toricfano.variety import CurveClass, ToricVariety
 
 CORPUS = ["P4", "P1xP3", "P2xP2", "F2xP2", "Bl_pt_P4", "D3", "B511", "Y_tower", "R3"]
 
@@ -320,6 +322,89 @@ def test_engine_checks_on_del_pezzo_products(s, t):
 )
 def test_verify_bounds_on_del_pezzo_products(s, t):
     assert [claim for claim, holds in verify_bounds(_del_pezzo_product(s, t)) if not holds] == []
+
+
+# -- walls against the full-width reference ------------------------------
+
+
+def _curve_class_from_relation(X, relation):
+    """Curve-basis coordinates of an integer relation among the rays,
+    checked and paired over all the rays: the relation lattice is
+    saturated, so r is sum_a (r . s_a) k_a over the section columns s_a."""
+    if len(relation) != X.n_rays:
+        raise ValueError("relation has wrong length")
+    if any(x != int(x) for x in relation) or any(
+        sum(x * u[t] for x, u in zip(relation, X.fan.rays)) for t in range(X.dim)
+    ):
+        raise ValueError("vector is not an integer relation among the rays")
+    return CurveClass(tuple(int(dot(relation, col)) for col in X._section))
+
+
+def _reference_walls(X):
+    """(relation, curve class, degK) of every wall, each relation built
+    n_rays wide from a fresh dual basis of its cone and classed by
+    ``_curve_class_from_relation``."""
+    out = []
+    for facet, (c1, c2) in sorted(X.fan.facets().items()):
+        a = next(i for i in c1 if i not in facet)
+        b = next(i for i in c2 if i not in facet)
+        a, b = min(a, b), max(a, b)
+        basis_cone = c1 if a in c1 else c2
+        other = b if a in basis_cone else a
+        normals = dual_basis([X.fan.rays[i] for i in basis_cone])
+        scales = [dot(n, X.fan.rays[j]) for n, j in zip(normals, basis_cone)]
+        denom = lcm(*scales)
+        rel = [0] * X.n_rays
+        rel[other] = denom
+        for n, j, s in zip(normals, basis_cone, scales):
+            rel[j] = -dot(n, X.fan.rays[other]) * (denom // s)
+        g = gcd(*rel)
+        rel = tuple(x // g for x in rel)
+        curve = _curve_class_from_relation(X, rel) if X.is_smooth else CurveClass((0,) * X.rho)
+        out.append((rel, curve, sum(rel)))
+    return out
+
+
+def _assert_walls_match_reference(X):
+    assert [(w.relation, w.curve_class, w.degK) for w in X.walls] == _reference_walls(X)
+
+
+def test_curve_class_from_relation_rejects_non_relations():
+    X = bl_pt_p4()
+    w = X.walls[0]
+    assert _curve_class_from_relation(X, w.relation) == w.curve_class
+    assert _curve_class_from_relation(X, [2 * x for x in w.relation]) == 2 * w.curve_class
+    not_a_relation = list(w.relation)
+    not_a_relation[0] += 1
+    with pytest.raises(ValueError):
+        _curve_class_from_relation(X, not_a_relation)
+    with pytest.raises(ValueError):
+        _curve_class_from_relation(X, [Fraction(x, 2) for x in w.relation])
+    with pytest.raises(ValueError):
+        _curve_class_from_relation(X, w.relation[:-1])
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_walls_match_full_width_reference(name, monkeypatch):
+    # The builtin, its chamber models and blow-ups, and every model the
+    # exhaustive MMPs of its fixed divisors step to, singular ones too.
+    visited = []
+    apply_step = mori._apply_step
+
+    def recording(*args):
+        step, Y, vec = apply_step(*args)
+        visited.append(Y)
+        return step, Y, vec
+
+    monkeypatch.setattr(mori, "_apply_step", recording)
+    classified_fixed_divisors(builtin(name))
+    for X in _reference_models(name) + visited:
+        _assert_walls_match_reference(X)
+
+
+@pytest.mark.parametrize("s,t", DEL_PEZZO_PRODUCTS, ids=[f"{s}x{t}" for s, t in DEL_PEZZO_PRODUCTS])
+def test_walls_match_full_width_reference_on_del_pezzo_products(s, t):
+    _assert_walls_match_reference(_del_pezzo_product(s, t))
 
 
 # -- blow-up / contract round trips on random centers -------------------

@@ -557,21 +557,6 @@ def test_library_imports_first_in_a_fresh_interpreter():
     assert done.stdout.strip() == "1"
 
 
-def test_curve_class_from_relation_rejects_non_relations():
-    X = bl_pt_p4()
-    w = X.walls[0]
-    assert X.curve_class_from_relation(w.relation) == w.curve_class
-    assert X.curve_class_from_relation([2 * x for x in w.relation]) == 2 * w.curve_class
-    not_a_relation = list(w.relation)
-    not_a_relation[0] += 1
-    with pytest.raises(ValueError):
-        X.curve_class_from_relation(not_a_relation)
-    with pytest.raises(ValueError):
-        X.curve_class_from_relation([Fraction(x, 2) for x in w.relation])
-    with pytest.raises(ValueError):
-        X.curve_class_from_relation(w.relation[:-1])
-
-
 def _reference_section(X):
     """The section as solved before: one ``solve_integer`` per unit vector."""
     basis = [list(k) for k in X.curve_basis]
@@ -616,6 +601,34 @@ def test_validation_cached_and_hash():
     f = projective_space_fan(4)
     assert validate(f) is validate(f)
     assert f.content_hash() == projective_space_fan(4).content_hash()
+
+
+def test_each_cone_dual_basis_is_computed_once(monkeypatch):
+    from toricfano import fan as fan_module
+    from toricfano import variety
+    from toricfano.surgery import ne_cone
+
+    fan = builtin("R3").fan
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return dual_basis(m)
+
+    monkeypatch.setattr(fan_module, "dual_basis", counting)
+    monkeypatch.setattr(variety, "dual_basis", counting, raising=False)
+    validate.cache_clear()
+    for expected in (len(fan.max_cones), 0):
+        # The second build is of an equal fan, a new object: validation's
+        # cache hands back the same report and its bases.
+        X = ToricVariety(Fan.make(fan.dim, fan.rays, fan.max_cones))
+        X.walls
+        X.ledger_state()
+        ne_cone(X)
+        assert len(calls) == expected
+        calls.clear()
+    assert X.report.dual_bases == {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
+    assert "dual_bases" not in X.report.as_dict()
 
 
 def test_require_smooth_gates():
