@@ -180,14 +180,6 @@ class RationalCone:
     def dim(self) -> int:
         return rational_rank([list(g) for g in self.generators])
 
-    @cached_property
-    def lineality_dim(self) -> int:
-        gens = set(self.generators)
-        negs = [g for g in gens if tuple(-x for x in g) in gens]
-        if not negs:
-            return 0
-        return rational_rank([list(g) for g in negs])
-
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
@@ -209,13 +201,6 @@ class RationalCone:
         if not self.generators:
             return tuple([0] * self.ambient_dim)
         return tuple(sum(g[j] for g in self.generators) for j in range(self.ambient_dim))
-
-    def intersect(self, other: "RationalCone") -> "RationalCone":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return RationalCone.from_inequalities(
-            list(self.facet_normals) + list(other.facet_normals), self.ambient_dim
-        )
 
     def all_faces(self) -> list["RationalCone"]:
         """Every face, found by closing under single-normal slices."""

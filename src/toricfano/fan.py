@@ -44,10 +44,13 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[CheckResult, ...]
-    # Per maximal cone, its ``dual_basis`` rows; empty unless every check
-    # ran.  Shared by every equal fan through ``validate``'s cache, so
-    # read only.
+    # Per maximal cone, its ``dual_basis`` rows, and the fan's
+    # ``facets()`` map; empty unless every check ran.  Shared by every
+    # equal fan through ``validate``'s cache, so read only.
     dual_bases: dict[tuple[int, ...], list[IntVec]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    facets: dict[tuple[int, ...], list[tuple[int, ...]]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -265,14 +268,15 @@ def validate(fan: Fan) -> ValidationReport:
     unimodular exactly when each normal pairs to 1 with its own ray,
     and a degenerate cone has no dual basis.  The determinant is taken
     only to word the first failing cone's ``|det| = d``.  The report
-    keeps those bases in ``dual_bases`` (left out of ``as_dict``), so a
-    ``ToricVariety`` reads its cone normals, walls and fixed points from
-    them instead of eliminating again.
+    keeps those bases in ``dual_bases`` and the ridge map in ``facets``
+    (both left out of ``as_dict``), so a ``ToricVariety`` reads its cone
+    normals, walls and fixed points from them instead of building them
+    again.
 
     Cached on the fan; 1024 entries hold every distinct fan a chamber
     walk or an exhaustive MMP on the builtins visits, with room to spare,
-    and keep each one's dual bases alive with its report, so a rebuilt
-    equal fan costs no elimination at all.
+    and keep each one's dual bases and ridge map alive with its report,
+    so a rebuilt equal fan costs no elimination at all.
     """
     checks: list[CheckResult] = []
 
@@ -337,7 +341,7 @@ def validate(fan: Fan) -> ValidationReport:
             "" if open_ridge is None else f"facet {list(open_ridge)} lies in 1 maximal cones",
         )
     )
-    return ValidationReport(tuple(checks), normals)
+    return ValidationReport(tuple(checks), normals, facet_map)
 
 
 def validated(fan: Fan, *, allow_singular: bool = False) -> ValidationReport:

@@ -27,18 +27,21 @@ triangulation it selects, which guards the surgery route with the
 secondary-fan route.  Every small modification keeps the rays, hence
 the divisor classes, so the Gale-dual membership test inverts each
 complement basis once per walk (``_gale_inverses``) and a chamber's
-check is sign tests of dot products.  Interiors are disjoint when a
-facet normal of one chamber is nonpositive on the other; only when no
-facet separates a pair is the intersection built.  Coverage of the
-movable cone is checked at one point per chamber facet, read off the
-chamber's own facet normals.  Each model builds its cone of curves
-once (``surgery.ne_cone``), and its nef chamber is that cone's dual.
+check is sign tests of dot products.  Interiors are disjoint because
+each chamber lies in the cone of weights that keep every maximal cone
+of its fan (the secondary cone; Oda-Park, Tohoku Math. J. 1991): a
+generic weight in two chambers would select two distinct fans.
+Coverage of the movable cone is checked at one point per chamber facet
+inside Mov: the walk crossed that facet, and the chamber it reached
+holds the point.  Each model builds its cone of curves once
+(``surgery.ne_cone``), and its nef chamber is that cone's dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cones import RationalCone, dual_extreme_rays
@@ -487,8 +490,8 @@ class ChamberFan:
         }
 
 
-def _gale_inverses(X: ToricVariety) -> list[tuple[IntVec, list[IntVec]]]:
-    """(sigma, rows) for each dim-subset sigma of rays with nonzero
+def _gale_inverses(X: ToricVariety) -> dict[IntVec, list[IntVec]]:
+    """sigma -> rows for each dim-subset sigma of rays with nonzero
     determinant: the ``dual_basis`` of the classes of the rays outside
     sigma, so a weight's coordinates in that basis have the signs of its
     dot products with the rows.
@@ -497,7 +500,7 @@ def _gale_inverses(X: ToricVariety) -> list[tuple[IntVec, list[IntVec]]]:
     exactly when the rays of sigma are independent.
     """
     classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
-    out = []
+    out = {}
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
             continue
@@ -507,12 +510,12 @@ def _gale_inverses(X: ToricVariety) -> list[tuple[IntVec, list[IntVec]]]:
                 f"Gale duality failure: the classes outside the independent rays {list(sigma)}"
                 f" are not a basis on fan {X.fan.content_hash()}"
             )
-        out.append((sigma, rows))
+        out[sigma] = rows
     return out
 
 
 def _triangulation_from_weight(
-    inverses: list[tuple[IntVec, list[IntVec]]], w: Sequence[int]
+    inverses: dict[IntVec, list[IntVec]], w: Sequence[int]
 ) -> frozenset:
     """The regular triangulation selected by a weight in the movable
     cone: a maximal cone sigma survives exactly when the weight lies in
@@ -520,35 +523,21 @@ def _triangulation_from_weight(
     when its coordinates in that basis (``_gale_inverses``) are all
     nonnegative."""
     return frozenset(
-        sigma for sigma, rows in inverses if all(dot(r, w) >= 0 for r in rows)
+        sigma for sigma, rows in inverses.items() if all(dot(r, w) >= 0 for r in rows)
     )
 
 
-def _interiors_overlap(A: RationalCone, B: RationalCone) -> bool:
-    """Whether two cones meet in a full-dimensional cone.
-
-    A facet normal n of one cone with n . g <= 0 for every generator g
-    of the other certifies that they meet inside the hyperplane n = 0;
-    chambers adjacent across a wall are separated so.  Facet normals
-    alone do not decide disjointness from rho = 4 on, so when no facet
-    separates, the intersection is built by double description.
-    """
-    for P, Q in ((A, B), (B, A)):
-        if any(all(dot(n, g) <= 0 for g in Q.generators) for n in P.facet_normals):
-            return False
-    return A.intersect(B).dim == A.ambient_dim
-
-
-def _facet_points(chamber: RationalCone) -> list[IntVec]:
-    """One relative-interior point per facet of a full-dimensional
-    pointed cone: the sum of the generators tight on its normal, in the
-    order of ``faces_of_dim(dim - 1)``."""
+def _facet_points(chamber: RationalCone) -> list[tuple[IntVec, IntVec]]:
+    """(normal, point) per facet of a full-dimensional pointed cone, the
+    point in the facet's relative interior: the sum of the generators
+    tight on its normal, in the order of ``faces_of_dim(dim - 1)``."""
     facets = sorted(
-        tuple(g for g in chamber.generators if dot(n, g) == 0)
+        (tuple(g for g in chamber.generators if dot(n, g) == 0), n)
         for n in chamber.facet_normals
     )
     return [
-        tuple(sum(g[j] for g in gens) for j in range(chamber.ambient_dim)) for gens in facets
+        (n, tuple(sum(g[j] for g in gens) for j in range(chamber.ambient_dim)))
+        for gens, n in facets
     ]
 
 
@@ -557,39 +546,50 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
 
     Walks interior facets by flips; every discovered model is
     cross-checked by reconstructing its triangulation from a
-    chamber-interior weight.  Non-flippable interior walls are reported
-    and excluded (they lead to models outside the simplicial category).
+    chamber-interior weight, and its chamber must lie in the cone of
+    weights that keep each of its maximal cones.  Non-flippable
+    interior walls are reported and excluded (they lead to models
+    outside the simplicial category).
     """
     suite = cone_suite(X)
     h = X.fan.content_hash()
     inverses = _gale_inverses(X)
     position: dict[tuple, int] = {X.fan.canonical_key(): 0}
     fans: list[Fan] = [X.fan]
-    chambers: dict[tuple, RationalCone] = {}
+    chambers: list[RationalCone] = []  # in walk order, which is position order
     adjacency: list[tuple[int, int, IntVec]] = []
     edges: set[tuple[int, int]] = set()
+    crossed: dict[tuple[int, IntVec], int] = {}  # (chamber, flipped class) -> chamber reached
     excluded: list[str] = []
+
+    def chamber(i: int) -> str:
+        return f"chamber {i} (fan {fans[i].content_hash()}) of fan {h}"
+
     frontier = [X]
     while frontier:
         nxt = []
         for node in frontier:
-            key = node.fan.canonical_key()
+            i = position[node.fan.canonical_key()]
             if node.fan.rays != X.fan.rays:
-                raise InternalCheckError(
-                    f"small modification changed the rays: chamber {position[key]}"
-                    f" (fan {node.fan.content_hash()}) of fan {h}"
-                )
+                raise InternalCheckError(f"small modification changed the rays: {chamber(i)}")
             nef = ne_cone(node).dual()
-            chambers[key] = nef
+            chambers.append(nef)
             weight = nef.interior_point()
             reconstructed = _triangulation_from_weight(inverses, weight)
             if reconstructed != frozenset(node.fan.max_cones):
                 diff = sorted(reconstructed ^ frozenset(node.fan.max_cones))
                 raise InternalCheckError(
                     "weight-selected triangulation disagrees with the fan of its chamber:"
-                    f" chamber {position[key]} (fan {node.fan.content_hash()}) of fan"
-                    f" {h}, weight {list(weight)}, cones {[list(c) for c in diff]}"
+                    f" {chamber(i)}, weight {list(weight)}, cones {[list(c) for c in diff]}"
                 )
+            # Every weight of the chamber keeps every maximal cone of its
+            # fan, so a weight inside two chambers would select two fans.
+            rows = {r for sigma in node.fan.max_cones for r in inverses[sigma]}
+            for g in nef.generators:
+                if any(sum(map(mul, r, g)) < 0 for r in rows):
+                    raise InternalCheckError(
+                        f"chamber leaves the Gale cone of its fan: {chamber(i)}, generator {list(g)}"
+                    )
             for c, desc in extremal_rays(node):
                 if desc.kind != "small":
                     continue
@@ -606,41 +606,40 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                 fkey = flipped.fan.canonical_key()
                 if fkey not in position:
                     if len(fans) >= max_chambers:
-                        raise MoriError("chamber enumeration exceeded the cap")
+                        raise MoriError(
+                            f"chamber enumeration of fan {h} exceeds the cap of {max_chambers} chambers"
+                        )
                     position[fkey] = len(fans)
                     fans.append(flipped.fan)
                     nxt.append(flipped)
-                i, j = position[key], position[fkey]
+                j = position[fkey]
+                crossed[(i, c.coords)] = j
                 if (j, i) not in edges:
                     edges.add((i, j))
                     adjacency.append((i, j, c.coords))
         frontier = nxt
-    chamber_list = [chambers[k] for k in position]
-    for a, b in combinations(range(len(chamber_list)), 2):
-        if _interiors_overlap(chamber_list[a], chamber_list[b]):
-            raise InternalCheckError(f"chamber interiors overlap: chambers {a} and {b} of fan {h}")
-    for k, ch in enumerate(chamber_list):
+    for i, ch in enumerate(chambers):
         if not suite.mov.contains_cone(ch):
-            raise InternalCheckError(f"chamber escapes the movable cone: chamber {k} of fan {h}")
+            raise InternalCheckError(f"chamber escapes the movable cone: {chamber(i)}")
     if not excluded:
         # Coverage: with disjoint interiors, the union is all of Mov iff
-        # no chamber has a free interior facet.
-        for ch in chamber_list:
-            for p in _facet_points(ch):
+        # every facet inside Mov is a wall the walk crossed, into another
+        # chamber that holds the facet's point.
+        for i, ch in enumerate(chambers):
+            for n, p in _facet_points(ch):
                 if not suite.mov.contains_in_relative_interior(p):
                     continue
-                if not any(
-                    other is not ch and other.contains(p) for other in chamber_list
-                ):
+                j = crossed.get((i, n), i)
+                if j == i or not chambers[j].contains(p):
                     raise InternalCheckError(
-                        "movable cone not covered: facet point "
-                        f"{list(p)} belongs to a single chamber of fan {h}"
+                        f"movable cone not covered: facet point {list(p)} of {chamber(i)}"
+                        " lies in no chamber the walk reached across that facet"
                     )
     else:
         excluded.append("coverage of the movable cone not verified (walls excluded)")
     return ChamberFan(
         mov=suite.mov,
-        chambers=chamber_list,
+        chambers=chambers,
         fans=fans,
         adjacency=adjacency,
         excluded=excluded,

@@ -238,7 +238,8 @@ class ToricVariety:
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        """One wall per codimension-one cone shared by two maximal cones.
+        """One wall per codimension-one cone shared by two maximal cones,
+        read from validation's ridge map (``report.facets``).
 
         The relation is u_other - sum_k lambda_k u_k over the rays u_k of
         the cone opposite u_other, with lambda_k = g_k . u_other.  The
@@ -257,7 +258,7 @@ class ToricVariety:
         bases = self._cone_normals
         section_rows = list(zip(*self._section)) if self.is_smooth else None
         out = []
-        for facet, cones in sorted(self.fan.facets().items()):
+        for facet, cones in sorted(self.report.facets.items()):
             if len(cones) != 2:
                 raise ValidationError(f"facet {facet} is not a wall")
             (c1, c2) = cones

@@ -28,11 +28,12 @@ from toricfano.mori import (
     verify_bounds,
     _facet_points,
     _gale_inverses,
-    _interiors_overlap,
     _triangulation_from_weight,
 )
-from toricfano.surgery import flip, ne_cone
+from toricfano.surgery import blowup, flip, ne_cone
 from toricfano.variety import ToricVariety
+
+from test_cones import _intersect
 
 
 def test_cone_suite_p1xp3_everything_is_the_quadrant():
@@ -190,6 +191,14 @@ def test_mori_chambers_nonprojective_rejected():
     assert ch.count == 1
 
 
+def test_chamber_cap_names_the_fan():
+    X = builtin("R3")
+    assert mori_chambers(X, max_chambers=9).count == 9
+    with pytest.raises(MoriError) as e:
+        mori_chambers(X, max_chambers=8)
+    assert str(e.value) == f"chamber enumeration of fan {X.fan.content_hash()} exceeds the cap of 8 chambers"
+
+
 def test_r3_profile():
     X = builtin("R3")
     assert X.rho == 5
@@ -340,7 +349,7 @@ def test_gale_triangulation_matches_the_double_description_one(name, Y, nef):
     # must still agree.
     weights = [nef.interior_point(), *nef.generators, *cone_suite(Y).mov.generators]
     inverses = _gale_inverses(Y)
-    assert [sigma for sigma, _ in inverses] == list(cones)
+    assert list(inverses) == list(cones)
     for w in weights:
         expected = frozenset(sigma for sigma, c in cones.items() if c.contains(w))
         assert _triangulation_from_weight(inverses, w) == expected
@@ -350,7 +359,10 @@ def test_gale_triangulation_matches_the_double_description_one(name, Y, nef):
 @pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
 def test_facet_points_match_the_face_lattice(name, Y, nef):
     expected = [f.interior_point() for f in nef.faces_of_dim(Y.rho - 1)]
-    assert _facet_points(nef) == expected
+    pairs = _facet_points(nef)
+    assert [p for _, p in pairs] == expected
+    assert sorted(n for n, _ in pairs) == sorted(nef.facet_normals)
+    assert all(dot(n, p) == 0 for n, p in pairs)
 
 
 @pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
@@ -359,7 +371,7 @@ def test_movable_cone_equals_the_intersection_over_every_ray(name, Y, nef):
     mov = RationalCone.from_generators(classes, Y.rho)
     for i in range(Y.n_rays):
         others = [c for j, c in enumerate(classes) if j != i]
-        mov = mov.intersect(RationalCone.from_generators(others, Y.rho))
+        mov = _intersect(mov, RationalCone.from_generators(others, Y.rho))
     assert cone_suite(Y).mov == mov
 
 
@@ -398,22 +410,28 @@ def test_chamber_walk_cross_checks_make_no_dd_call_and_ne_is_built_once(monkeypa
     monkeypatch.setattr(cones, "dual_extreme_rays", counting_dd)
     monkeypatch.setattr(RationalCone, "all_faces", no_face_lattice)
     monkeypatch.setattr(mori, "_triangulation_from_weight", tracked(_triangulation_from_weight))
-    monkeypatch.setattr(mori, "_facet_points", tracked(_facet_points))
     monkeypatch.setattr(mori, "_gale_inverses", tracked(_gale_inverses))
-    overlap_calls = []
-
-    def counted_overlap(A, B):
-        overlap_calls.append((A, B))
-        return _interiors_overlap(A, B)
-
-    monkeypatch.setattr(mori, "_interiors_overlap", tracked(counted_overlap))
+    facet_point_calls = []
+    tracked_facet_points = tracked(_facet_points)
+    monkeypatch.setattr(mori, "_facet_points", lambda ch: facet_point_calls.append(ch) or tracked_facet_points(ch))
+    tested = []  # the cones a point was tested against
+    contains = RationalCone.contains
+    monkeypatch.setattr(RationalCone, "contains", lambda self, v: tested.append(self) or contains(self, v))
     monkeypatch.setattr(mori, "ne_cone", counting_ne_cone)
     monkeypatch.setattr(surgery, "ne_cone", counting_ne_cone)
     X = ToricVariety(builtin("R3").fan)
     result = mori_chambers(X)
     assert result.count == 9
-    assert len(overlap_calls) == 36
     assert dd_inside == []
+    # No pairwise work: each chamber's facets are listed once, and each
+    # facet point inside Mov is tested against one chamber, the one the
+    # walk reached across that facet.
+    assert facet_point_calls == result.chambers
+    inner = [
+        p for ch in result.chambers for _, p in _facet_points(ch) if result.mov.contains_in_relative_interior(p)
+    ]
+    assert len(inner) == 2 * len(result.adjacency) == 2 * 13
+    assert sum(any(c is ch for ch in result.chambers) for c in tested) == len(inner)
     assert sorted(built) == sorted(f.canonical_key() for f in result.fans)
     assert all(len(objects) == 1 for objects in built.values())
 
@@ -426,13 +444,38 @@ def _separated(A, B):
     )
 
 
+def _interiors_overlap(A, B):
+    """Test-only reference: whether two cones meet in a full-dimensional
+    cone.  A separating facet normal decides most pairs; facet normals
+    alone do not decide disjointness from rho = 4 on, so otherwise the
+    intersection is built by double description."""
+    if _separated(A, B):
+        return False
+    return _intersect(A, B).dim == A.ambient_dim
+
+
+def _pairwise_scans_accept(result):
+    """Test-only reference: the chamber walk's former post-walk checks.
+    No two chambers overlap, and unless walls were excluded, every facet
+    point inside Mov lies in some other chamber."""
+    chambers = result.chambers
+    if any(_interiors_overlap(A, B) for A, B in combinations(chambers, 2)):
+        return False
+    return bool(result.excluded) or all(
+        any(other is not ch and other.contains(p) for other in chambers)
+        for ch in chambers
+        for _, p in _facet_points(ch)
+        if result.mov.contains_in_relative_interior(p)
+    )
+
+
 def test_interiors_overlap_agrees_with_the_double_description_on_every_chamber_pair():
     pairs = 0
     for name in builtin_names():
         result = mori_chambers(builtin(name))
         for A, B in combinations(result.chambers, 2):
             assert _separated(A, B)  # the double description is never reached
-            assert _interiors_overlap(A, B) == (A.intersect(B).dim == A.ambient_dim)
+            assert _interiors_overlap(A, B) == (_intersect(A, B).dim == A.ambient_dim)
             pairs += 1
         for A in result.chambers:
             assert _interiors_overlap(A, result.mov)
@@ -446,16 +489,32 @@ def test_interiors_overlap_falls_back_when_no_facet_separates(monkeypatch):
     assert A.dim == B.dim == 4
     assert not _separated(A, B)
     intersections = []
-    intersect = RationalCone.intersect
+    intersect = _intersect
 
-    def counting_intersect(self, other):
-        intersections.append((self, other))
-        return intersect(self, other)
+    def counting_intersect(P, Q):
+        intersections.append((P, Q))
+        return intersect(P, Q)
 
-    monkeypatch.setattr(RationalCone, "intersect", counting_intersect)
+    monkeypatch.setitem(globals(), "_intersect", counting_intersect)
     assert not _interiors_overlap(A, B)
     assert len(intersections) == 1
     assert intersect(A, B).dim == 0
+
+
+@pytest.mark.parametrize(
+    "name,center,count,excluded",
+    [(name, None, None, None) for name in sorted(builtin_names())]
+    + [("R3", (0, 6), 13, 0), ("R3", (2, 4, 6), 37, 33)],
+)
+def test_local_certificates_accept_where_the_pairwise_scans_accept(name, center, count, excluded):
+    X = builtin(name) if center is None else blowup(builtin(name), center)
+    result = mori_chambers(X)  # the local certificates accept
+    assert _pairwise_scans_accept(result)
+    if count is not None:
+        assert result.count == count
+        assert len(result.excluded) == excluded
+    if result.excluded:
+        assert result.excluded[-1] == "coverage of the movable cone not verified (walls excluded)"
 
 
 def test_mori_chambers_rejects_an_overlapping_chamber(monkeypatch):
@@ -468,13 +527,69 @@ def test_mori_chambers_rejects_an_overlapping_chamber(monkeypatch):
     fake = RationalCone.from_generators([(1, 0, 0), (0, 0, 1), (0, 2, 3), (2, -1, 3)])
     assert fake.interior_point() == (3, 1, 7)
     X = d3()
-    key = mori_chambers(d3()).fans[1].canonical_key()
+    fans = mori_chambers(d3()).fans
+    key = fans[1].canonical_key()
+    assert _interiors_overlap(ne_cone(ToricVariety(fans[0])).dual(), fake)  # the reference rejects it too
     monkeypatch.setattr(
         mori, "ne_cone", lambda Y: fake.dual() if Y.fan.canonical_key() == key else ne_cone(Y)
     )
     with pytest.raises(mori.InternalCheckError) as e:
         mori_chambers(X)
-    assert str(e.value) == f"chamber interiors overlap: chambers 0 and 1 of fan {X.fan.content_hash()}"
+    assert str(e.value) == (
+        "chamber leaves the Gale cone of its fan: chamber 1"
+        f" (fan {fans[1].content_hash()}) of fan {X.fan.content_hash()}, generator [2, -1, 3]"
+    )
+
+
+def test_mori_chambers_rejects_a_shrunken_neighbour(monkeypatch):
+    from toricfano import mori
+
+    # The second chamber of D3, cone{(0,0,1),(0,1,1),(1,0,0)}, shrunk
+    # away from the wall it shares with the first: its weight (1,3,4)
+    # still selects its fan, and it stays inside its Gale cone, but the
+    # first chamber's facet point (1,0,1) on that wall is in no chamber
+    # across it.
+    shrunk = RationalCone.from_generators([(0, 1, 2), (0, 1, 1), (1, 1, 1)])
+    X = d3()
+    fans = mori_chambers(d3()).fans
+    key = fans[1].canonical_key()
+    first = ne_cone(ToricVariety(fans[0])).dual()
+    assert (1, 0, 1) in [p for _, p in _facet_points(first)] and not shrunk.contains((1, 0, 1))
+    monkeypatch.setattr(
+        mori, "ne_cone", lambda Y: shrunk.dual() if Y.fan.canonical_key() == key else ne_cone(Y)
+    )
+    with pytest.raises(mori.InternalCheckError) as e:
+        mori_chambers(X)
+    h = X.fan.content_hash()
+    assert str(e.value) == (
+        f"movable cone not covered: facet point [1, 0, 1] of chamber 0 (fan {h}) of fan {h}"
+        " lies in no chamber the walk reached across that facet"
+    )
+
+
+def test_mori_chambers_rejects_a_facet_the_walk_never_crossed(monkeypatch):
+    from toricfano import mori
+
+    # The second chamber of D3 forgets its small ray, so the walk never
+    # crosses back from it; it still has both chambers.  The pairwise
+    # coverage scan accepts them (the first chamber holds the facet
+    # point); the walk's own edges do not.
+    X = d3()
+    fans = mori_chambers(d3()).fans
+    key = fans[1].canonical_key()
+    real = mori.extremal_rays
+    monkeypatch.setattr(
+        mori,
+        "extremal_rays",
+        lambda Y: [t for t in real(Y) if t[1].kind != "small"] if Y.fan.canonical_key() == key else real(Y),
+    )
+    with pytest.raises(mori.InternalCheckError) as e:
+        mori_chambers(X)
+    message = str(e.value)
+    assert message.startswith("movable cone not covered: facet point ")
+    assert f"of chamber 1 (fan {fans[1].content_hash()}) of fan {X.fan.content_hash()}" in message
+    monkeypatch.undo()
+    assert _pairwise_scans_accept(mori_chambers(X))
 
 
 def test_gale_inverses_refuse_a_dependent_complement(monkeypatch):

@@ -631,6 +631,29 @@ def test_each_cone_dual_basis_is_computed_once(monkeypatch):
     assert "dual_bases" not in X.report.as_dict()
 
 
+def test_the_facet_map_is_built_once_per_fan(monkeypatch):
+    fan = builtin("R3").fan
+    facets = Fan.facets
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return facets(self)
+
+    monkeypatch.setattr(Fan, "facets", counting)
+    validate.cache_clear()
+    for expected in (1, 0):
+        # The second build is of an equal fan, a new object: validation's
+        # cache hands back the same report and its ridge map.
+        X = ToricVariety(Fan.make(fan.dim, fan.rays, fan.max_cones))
+        X.walls
+        X.ledger_state()
+        assert len(calls) == expected
+        calls.clear()
+    assert X.report.facets == facets(fan)
+    assert "facets" not in X.report.as_dict()
+
+
 def test_require_smooth_gates():
     rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -2]]
     cones = [[j for j in range(5) if j != i] for i in range(5)]
