@@ -452,6 +452,17 @@ def cmd_replay(session: Session, args) -> int:
 # -- entry point --------------------------------------------------------
 
 
+def _step_cap(text: str) -> int:
+    """An MMP step cap: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same flags are accepted before and after the subcommand; the
     # post-subcommand copies default to SUPPRESS so they never clobber
@@ -470,7 +481,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--max-steps",
-        type=int,
+        type=_step_cap,
         default=d if suppress else 64,
         metavar="N",
         help="an MMP takes at most N steps (default 64)",

@@ -12,7 +12,11 @@ lattice), and the pointed part is recorded by the extreme rays of the
 cone intersected with the orthogonal complement of the lineality.
 
 The V <-> H conversion is Motzkin-style double description, exact
-over Z throughout.  Each ray carries the set of constraints it is
+over Z throughout.  The elimination that picks its starting
+constraints also decides the rank, so the lineality space is computed
+only when the constraints have rank below the ambient dimension; on
+full-rank input the cone is pointed and the extreme rays are the
+answer.  Each ray carries the set of constraints it is
 tight on as an int bitmask, so a new halfspace costs one dot product
 per ray.  Two rays are adjacent by the combinatorial test alone
 (Fukuda-Prodon, "Double description method revisited", 1996): they
@@ -58,21 +62,23 @@ def _dedupe_primitive(vectors: Iterable[Sequence[int]]) -> list[IntVec]:
     return out
 
 
-def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> list[IntVec]:
-    """Extreme rays of {y : a.y >= 0 for a in constraints}, assuming the
-    constraint matrix has full rank ``dim`` (no lineality).
+def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> Optional[list[IntVec]]:
+    """Extreme rays of {y : a.y >= 0 for a in constraints}, or None when
+    the constraint matrix has rank below ``dim`` (the cone then has a
+    lineality space).
 
     Classic double description: start from the simplicial subcone cut
     out by the first ``dim`` independent constraints, then slice in the
     remaining halfspaces, combining adjacent rays across each new
     hyperplane.  Each ray carries the constraints it is tight on as a
-    bitmask (bit j for constraint j).
+    bitmask (bit j for constraint j).  The elimination that picks the
+    starting constraints also decides the rank.
     """
     if dim == 0:
         return []
     base = [col for _, col in _row_reduce(transpose(constraints), len(constraints))]
     if len(base) < dim:
-        raise ValueError("constraint matrix does not have full rank")
+        return None
     full = sum(1 << i for i in base)
     rays = list(zip(dual_basis([constraints[i] for i in base]), (full ^ (1 << i) for i in base)))
     for idx in range(len(constraints)):
@@ -102,34 +108,35 @@ def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> list[IntVec]:
 def dual_extreme_rays(vectors: Sequence[Sequence[int]], ambient_dim: int) -> list[IntVec]:
     """Canonical generators of {y : v.y >= 0 for all v in vectors}.
 
-    The lineality part comes out as +/- pairs of the HNF kernel basis;
-    the pointed part as extreme rays inside the orthogonal complement
-    of the lineality.  Sorted, primitive, deterministic: the answer
-    depends only on the set of primitive constraint directions.
+    Constraints of full rank ``ambient_dim`` cut out a pointed cone,
+    whose extreme rays are the answer.  Otherwise the lineality part
+    comes out as +/- pairs of the HNF kernel basis, and the pointed
+    part as extreme rays inside the orthogonal complement of the
+    lineality.  Sorted, primitive, deterministic: the answer depends
+    only on the set of primitive constraint directions.
     """
     cons = sorted(_dedupe_primitive(vectors))
+    rays = _pointed_extreme_rays(cons, ambient_dim)
+    if rays is not None:
+        return sorted(set(rays))
     if not cons:
         units = _unit_vectors(ambient_dim)
         return sorted(units + [tuple(-x for x in u) for u in units])
     lineality = integer_kernel(transpose([list(c) for c in cons]))
-    if lineality:
-        complement = integer_kernel(transpose([list(l) for l in lineality]))
-    else:
-        complement = _unit_vectors(ambient_dim)
+    complement = integer_kernel(transpose([list(l) for l in lineality]))
     out: list[IntVec] = []
     for l in lineality:
         out.append(tuple(l))
         out.append(tuple(-x for x in l))
     d = len(complement)
-    if d:
-        reduced = [tuple(dot(c, w) for w in complement) for c in cons]
-        reduced = [r for r in reduced if any(r)]
-        for t in _pointed_extreme_rays(_dedupe_primitive(reduced), d):
-            ray = tuple(
-                sum(t[k] * complement[k][j] for k in range(d))
-                for j in range(ambient_dim)
-            )
-            out.append(primitive_vector(ray))
+    reduced = _dedupe_primitive(tuple(dot(c, w) for w in complement) for c in cons)
+    # The constraints have rank d on the complement, so this is not None.
+    for t in _pointed_extreme_rays(reduced, d):
+        ray = tuple(
+            sum(t[k] * complement[k][j] for k in range(d))
+            for j in range(ambient_dim)
+        )
+        out.append(primitive_vector(ray))
     return sorted(set(out))
 
 

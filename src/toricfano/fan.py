@@ -273,10 +273,13 @@ def validate(fan: Fan) -> ValidationReport:
     normals, walls and fixed points from them instead of building them
     again.
 
-    Cached on the fan; 1024 entries hold every distinct fan a chamber
-    walk or an exhaustive MMP on the builtins visits, with room to spare,
-    and keep each one's dual bases and ridge map alive with its report,
-    so a rebuilt equal fan costs no elimination at all.
+    Cached on the fan, up to 1024 entries: each is the report of one
+    distinct fan validated in the process, passed or failed, with its
+    dual bases and ridge map.  The chamber walks and fixed-divisor MMPs
+    of all the builtins validate 31 distinct fans in one process
+    (``scripts/survey_corpus.py``), so a variety built again on an
+    equal fan, such as a chamber the walk reaches twice, costs no
+    elimination.
     """
     checks: list[CheckResult] = []
 

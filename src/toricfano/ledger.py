@@ -22,7 +22,11 @@ Move-script format, one move per line::
     blowup plane
     flip dir=<f2s|s2f> s=<n>
 
-Blank lines and '#' comments are ignored.
+Blank lines and '#' comments are ignored.  A word after ``blowup
+point`` or ``blowup plane``, or an argument of ``start custom``,
+``blowup curve`` or ``flip`` that is not ``key=value``, is an error;
+every error on a line, including an invariant the move breaks, names
+the line.
 """
 
 from __future__ import annotations
@@ -200,74 +204,80 @@ class ScriptStep:
     state: LedgerState
 
 
-def _parse_kv(parts: Iterable[str], line: int) -> dict[str, int]:
-    out = {}
+def _parse_kv(parts: Iterable[str], integers: bool = True) -> dict:
+    """key=value tokens as a dict, the values as ints unless told not to."""
+    out: dict = {}
     for p in parts:
         if "=" not in p:
-            raise LedgerError(f"line {line}: expected key=value, got {p!r}")
+            raise LedgerError(f"expected key=value, got {p!r}")
         k, v = p.split("=", 1)
+        if not integers:
+            out[k] = v
+            continue
         try:
             out[k] = int(v)
         except ValueError:
-            raise LedgerError(f"line {line}: value of {k!r} is not an integer") from None
+            raise LedgerError(f"value of {k!r} is not an integer") from None
     return out
+
+
+def _apply_line(state: Optional[LedgerState], parts: list[str]) -> LedgerState:
+    """The state after one script line, split into tokens."""
+    head, args = parts[0], parts[1:]
+    if head == "start":
+        if state is not None:
+            raise LedgerError("duplicate start")
+        if args == ["P4"]:
+            return P4_STATE
+        if args[:1] == ["custom"]:
+            kv = _parse_kv(args[1:])
+            missing = {"chi", "degK4", "c2K2", "rho"} - kv.keys()
+            if missing:
+                raise LedgerError(f"missing {sorted(missing)}")
+            return LedgerState(kv["chi"], kv["degK4"], kv["c2K2"], kv["rho"])
+        raise LedgerError("unknown start form")
+    if state is None:
+        raise LedgerError("move before start")
+    if head == "blowup":
+        center = args[0] if args else None
+        if center == "curve":
+            kv = _parse_kv(args[1:])
+            if "degKC" not in kv or "genus" not in kv:
+                raise LedgerError("blowup curve needs degKC and genus")
+            return apply_curve_blowup(state, CurveBlowupData(kv["degKC"], kv["genus"]))
+        if center not in ("point", "plane"):
+            raise LedgerError("unknown blowup center")
+        if len(args) > 1:
+            raise LedgerError(f"blowup {center} takes no arguments, got {args[1]!r}")
+        return apply_point_blowup(state) if center == "point" else apply_plane_blowup(state)
+    if head == "flip":
+        kv = _parse_kv(args, integers=False)
+        if "dir" not in kv or "s" not in kv:
+            raise LedgerError("flip needs dir= and s=")
+        if kv["dir"] not in _DIRECTIONS:
+            raise LedgerError(f"unknown direction {kv['dir']!r}")
+        try:
+            s_count = int(kv["s"])
+        except ValueError:
+            raise LedgerError("s must be an integer") from None
+        return apply_flip(state, kv["dir"], s_count)
+    raise LedgerError(f"unknown move {head!r}")
 
 
 def run_script(text: str) -> list[ScriptStep]:
     """Interpret a move script; returns the full trajectory including the
-    start state."""
+    start state.  Every error on a line, including one raised while the
+    move is applied, names the line."""
     steps: list[ScriptStep] = []
     state: Optional[LedgerState] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        head = parts[0]
-        if head == "start":
-            if state is not None:
-                raise LedgerError(f"line {lineno}: duplicate start")
-            if len(parts) == 2 and parts[1] == "P4":
-                state = P4_STATE
-            elif len(parts) >= 2 and parts[1] == "custom":
-                kv = _parse_kv(parts[2:], lineno)
-                missing = {"chi", "degK4", "c2K2", "rho"} - kv.keys()
-                if missing:
-                    raise LedgerError(f"line {lineno}: missing {sorted(missing)}")
-                state = LedgerState(kv["chi"], kv["degK4"], kv["c2K2"], kv["rho"])
-            else:
-                raise LedgerError(f"line {lineno}: unknown start form")
-            steps.append(ScriptStep(lineno, line, state))
-            continue
-        if state is None:
-            raise LedgerError(f"line {lineno}: move before start")
-        if head == "blowup":
-            if len(parts) >= 2 and parts[1] == "point":
-                state = apply_point_blowup(state)
-            elif len(parts) >= 2 and parts[1] == "plane":
-                state = apply_plane_blowup(state)
-            elif len(parts) >= 2 and parts[1] == "curve":
-                kv = _parse_kv(parts[2:], lineno)
-                if "degKC" not in kv or "genus" not in kv:
-                    raise LedgerError(f"line {lineno}: blowup curve needs degKC and genus")
-                state = apply_curve_blowup(
-                    state, CurveBlowupData(kv["degKC"], kv["genus"])
-                )
-            else:
-                raise LedgerError(f"line {lineno}: unknown blowup center")
-        elif head == "flip":
-            kv_raw = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-            if "dir" not in kv_raw or "s" not in kv_raw:
-                raise LedgerError(f"line {lineno}: flip needs dir= and s=")
-            if kv_raw["dir"] not in _DIRECTIONS:
-                raise LedgerError(f"line {lineno}: unknown direction {kv_raw['dir']!r}")
-            try:
-                s_count = int(kv_raw["s"])
-            except ValueError:
-                raise LedgerError(f"line {lineno}: s must be an integer") from None
-            state = apply_flip(state, kv_raw["dir"], s_count)
-        else:
-            raise LedgerError(f"line {lineno}: unknown move {head!r}")
+        try:
+            state = _apply_line(state, line.split())
+        except LedgerError as e:
+            raise LedgerError(f"line {lineno}: {e}") from None
         steps.append(ScriptStep(lineno, line, state))
     if state is None:
         raise LedgerError("empty script")

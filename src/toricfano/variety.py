@@ -152,6 +152,7 @@ class ToricVariety:
         self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
         self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
+        self._models: Optional[dict[Fan, ToricVariety]] = None  # kept by mori._models
 
     # -- class group -------------------------------------------------
 

@@ -180,6 +180,18 @@ def test_fixed_step_cap_allows_exactly_max_steps(capsys, registry):
     assert len(err.splitlines()) == 1 and err.rstrip().endswith("within the step cap of 1")
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_negative_max_steps_is_refused_at_parse_time(capsys, registry, where):
+    cap = ["--max-steps", "-1"]
+    argv = ["--registry", registry] + (cap if where == "before" else [])
+    argv += ["mmp", "D3", "--divisor", "6"] + (cap if where == "after" else [])
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1].endswith("error: argument --max-steps: must be at least 0, got -1")
+
+
 def test_fixed_table(capsys, registry):
     code, out, _ = run(capsys, "--registry", registry, "fixed", "Bl_pt_P4")
     assert code == 0

@@ -269,7 +269,8 @@ def _reference_pointed_extreme_rays(constraints, dim):
     """Double description as it was before tight sets were carried: a
     greedy rank-test base, one rational solve per initial ray, every
     tight set recomputed per halfspace and the algebraic (rank)
-    adjacency test next to the combinatorial one."""
+    adjacency test next to the combinatorial one.  None on constraints
+    of rank below ``dim``, as ``cones._pointed_extreme_rays``."""
     if dim == 0:
         return []
     base = []
@@ -279,7 +280,7 @@ def _reference_pointed_extreme_rays(constraints, dim):
             if len(base) == dim:
                 break
     if len(base) < dim:
-        raise ValueError("constraint matrix does not have full rank")
+        return None
     bmat = [constraints[i] for i in base]
     rays = [
         primitive_vector(solve_rational(bmat, [int(i == k) for i in range(dim)]))
@@ -338,3 +339,77 @@ def test_dual_extreme_rays_match_the_reference_on_degenerate_inputs(case):
         mp.setattr(cones, "_pointed_extreme_rays", _reference_pointed_extreme_rays)
         expected = dual_extreme_rays(vecs, d)
     assert dual_extreme_rays(vecs, d) == expected
+
+
+def _reference_dual_extreme_rays(vectors, ambient_dim):
+    """Test-only reference: the conversion as it was before full-rank
+    input skipped the lineality step.  The lineality space is always
+    found by HNF, and the pointed part is converted inside its
+    orthogonal complement."""
+    cons = sorted(cones._dedupe_primitive(vectors))
+    if not cons:
+        units = cones._unit_vectors(ambient_dim)
+        return sorted(units + [tuple(-x for x in u) for u in units])
+    lineality = integer_kernel([list(c) for c in zip(*cons)])
+    if lineality:
+        complement = integer_kernel([list(c) for c in zip(*lineality)])
+    else:
+        complement = cones._unit_vectors(ambient_dim)
+    out = []
+    for l in lineality:
+        out.append(tuple(l))
+        out.append(tuple(-x for x in l))
+    d = len(complement)
+    if d:
+        reduced = [tuple(dot(c, w) for w in complement) for c in cons]
+        reduced = [r for r in reduced if any(r)]
+        for t in cones._pointed_extreme_rays(cones._dedupe_primitive(reduced), d):
+            ray = tuple(sum(t[k] * complement[k][j] for k in range(d)) for j in range(ambient_dim))
+            out.append(primitive_vector(ray))
+    return sorted(set(out))
+
+
+@st.composite
+def small_constraint_sets(draw):
+    """Up to six constraints in dimension 1..5: possibly none, possibly
+    of rank below the dimension (rows drawn in a random subspace), and
+    possibly with +/- pairs, which put a hyperplane in the lineality."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=d))
+    vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+    basis = draw(st.lists(vec, min_size=k, max_size=k))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=k, max_size=k)
+    rows = [
+        [sum(c * b[t] for c, b in zip(cs, basis)) for t in range(d)]
+        for cs in draw(st.lists(coeffs, max_size=6))
+    ]
+    negated = draw(st.sets(st.integers(min_value=0, max_value=5)))
+    rows += [[-x for x in rows[i]] for i in sorted(negated) if i < len(rows)]
+    return d, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_constraint_sets())
+def test_dual_extreme_rays_match_the_lineality_path(case):
+    d, vecs = case
+    assert dual_extreme_rays(vecs, d) == _reference_dual_extreme_rays(vecs, d)
+
+
+def test_full_rank_conversion_takes_no_lineality_step(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return integer_kernel(m)
+
+    monkeypatch.setattr(cones, "integer_kernel", counted)
+    # y >= 0 with y3 <= y1 + y2: full rank, so no kernel is taken.
+    assert dual_extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3) == [
+        (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)
+    ]
+    assert calls == []
+    # A +/- pair leaves a line of lineality, found by one kernel per side.
+    assert dual_extreme_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3) == [
+        (0, 0, -1), (0, 0, 1), (0, 1, 0)
+    ]
+    assert len(calls) == 2

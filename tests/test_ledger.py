@@ -240,3 +240,33 @@ def test_chi_general_returns_exact_fraction():
 def test_run_script_rejects_non_integer_flip_count():
     with pytest.raises(LedgerError):
         run_script("start P4\nflip dir=f2s s=abc")
+
+
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ("start P4\nblowup point extra", "line 2: blowup point takes no arguments, got 'extra'"),
+        ("start P4\n\nblowup plane junk", "line 3: blowup plane takes no arguments, got 'junk'"),
+        ("start P4\nflip dir=f2s s=1 oops", "line 2: expected key=value, got 'oops'"),
+        ("start P4\nflip dir=f2s s=-1", "line 2: component count s must be nonnegative"),
+        ("start P4\nblowup curve degKC=5 genus=-1", "line 2: genus must be nonnegative"),
+        (
+            "# custom start\nstart custom chi=100 degK4=625 c2K2=250 rho=1",
+            "line 2: Riemann-Roch identity violated: 12*(100-1) != 2*625 + 250",
+        ),
+        ("start custom chi=126 degK4=625 c2K2=250 rho=0", "line 1: rho must be >= 1, got 0"),
+    ],
+)
+def test_run_script_errors_name_the_line(script, message):
+    with pytest.raises(LedgerError) as e:
+        run_script(script)
+    assert str(e.value) == message
+
+
+def test_run_script_keeps_the_line_prefix_single():
+    with pytest.raises(LedgerError) as e:
+        run_script("start P4\nflip dir=up s=1")
+    assert str(e.value) == "line 2: unknown direction 'up'"
+    with pytest.raises(LedgerError) as e:
+        run_script("start custom chi=x degK4=0 c2K2=0 rho=1")
+    assert str(e.value) == "line 1: value of 'chi' is not an integer"

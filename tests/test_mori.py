@@ -147,6 +147,50 @@ def test_mmp_traces_never_revisit_a_model():
                 assert len(keys) == len(set(keys))
 
 
+def _count_walls(monkeypatch):
+    """A list that grows by one each time a model computes its walls,
+    counted by wrapping the cached property's function."""
+    walls = ToricVariety.__dict__["walls"]
+    compute, calls = walls.func, []
+
+    def counted(X):
+        calls.append(X.fan)
+        return compute(X)
+
+    monkeypatch.setattr(walls, "func", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,count", [("R3", 13), ("D3", 4), ("B511", 3), ("Y_tower", 3)])
+def test_mmp_walks_from_one_variety_build_each_fan_once(monkeypatch, name, count):
+    # Every smooth model the fixed-divisor walks reach, the start
+    # included, computes its walls once.  D3's walks also reach a
+    # singular contraction target, where the walk ends without walls.
+    calls = _count_walls(monkeypatch)
+    X = ToricVariety(builtin(name).fan)
+    reports = classified_fixed_divisors(X)
+    assert len(calls) == len(set(calls)) == count
+    calls.clear()
+    for rep in reports:
+        assert mmp_all_for_divisor(X, rep.ray_index) == mmp_all_for_divisor(X, rep.ray_index)
+    assert calls == []
+
+
+def test_default_mmp_reuses_the_models_of_the_exhaustive_walk(monkeypatch):
+    calls = _count_walls(monkeypatch)
+    X = ToricVariety(builtin("R3").fan)
+    rays = [rep.ray_index for rep in fixed_prime_divisors(X)]
+    for r in rays:
+        mmp_for_divisor(X, r)
+    for r in rays:
+        mmp_all_for_divisor(X, r)
+    assert len(calls) == len(set(calls)) == 13
+    calls.clear()
+    for r in rays:
+        mmp_for_divisor(X, r)
+    assert calls == []
+
+
 def test_lefschetz_defects():
     assert lefschetz_defect(p2xp2())[0] == 0
     delta, witness = lefschetz_defect(p1xp3())
