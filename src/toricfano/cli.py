@@ -199,7 +199,9 @@ def cmd_info(session: Session, args) -> int:
 def _surgery_report(
     session: Session, args, X: ToricVariety, Y: ToricVariety, move: str, data: dict
 ) -> int:
-    if args.as_name and (Path(args.as_name).name != args.as_name or args.as_name == ".."):
+    if args.as_name is not None and (
+        Path(args.as_name).name != args.as_name or args.as_name in ("", "..")
+    ):
         raise CliError(f"--as {args.as_name!r} is not a single path component")
     # A fan given by path is named by its file name, so the result lands
     # in the registry rather than next to the input.

@@ -23,10 +23,11 @@ Move-script format, one move per line::
     flip dir=<f2s|s2f> s=<n>
 
 Blank lines and '#' comments are ignored.  A word after ``blowup
-point`` or ``blowup plane``, or an argument of ``start custom``,
-``blowup curve`` or ``flip`` that is not ``key=value``, is an error;
-every error on a line, including an invariant the move breaks, names
-the line.
+point`` or ``blowup plane`` is an error.  The arguments of ``start
+custom``, ``blowup curve`` and ``flip`` are ``key=value`` pairs over
+exactly the keys shown, in any order; a missing key, a key of another
+move or an unknown one, and a key given twice are errors.  Every error
+on a line, including an invariant the move breaks, names the line.
 """
 
 from __future__ import annotations
@@ -204,13 +205,18 @@ class ScriptStep:
     state: LedgerState
 
 
-def _parse_kv(parts: Iterable[str], integers: bool = True) -> dict:
-    """key=value tokens as a dict, the values as ints unless told not to."""
+def _parse_kv(parts: Iterable[str], keys: tuple[str, ...], integers: bool = True) -> dict:
+    """key=value tokens over exactly ``keys``, each given once, as a
+    dict; the values as ints unless told not to."""
     out: dict = {}
     for p in parts:
         if "=" not in p:
             raise LedgerError(f"expected key=value, got {p!r}")
         k, v = p.split("=", 1)
+        if k not in keys:
+            raise LedgerError(f"unknown key {k!r}, expected one of {', '.join(keys)}")
+        if k in out:
+            raise LedgerError(f"repeated key {k!r}")
         if not integers:
             out[k] = v
             continue
@@ -218,6 +224,9 @@ def _parse_kv(parts: Iterable[str], integers: bool = True) -> dict:
             out[k] = int(v)
         except ValueError:
             raise LedgerError(f"value of {k!r} is not an integer") from None
+    missing = [k for k in keys if k not in out]
+    if missing:
+        raise LedgerError(f"missing {missing}")
     return out
 
 
@@ -230,10 +239,7 @@ def _apply_line(state: Optional[LedgerState], parts: list[str]) -> LedgerState:
         if args == ["P4"]:
             return P4_STATE
         if args[:1] == ["custom"]:
-            kv = _parse_kv(args[1:])
-            missing = {"chi", "degK4", "c2K2", "rho"} - kv.keys()
-            if missing:
-                raise LedgerError(f"missing {sorted(missing)}")
+            kv = _parse_kv(args[1:], ("chi", "degK4", "c2K2", "rho"))
             return LedgerState(kv["chi"], kv["degK4"], kv["c2K2"], kv["rho"])
         raise LedgerError("unknown start form")
     if state is None:
@@ -241,9 +247,7 @@ def _apply_line(state: Optional[LedgerState], parts: list[str]) -> LedgerState:
     if head == "blowup":
         center = args[0] if args else None
         if center == "curve":
-            kv = _parse_kv(args[1:])
-            if "degKC" not in kv or "genus" not in kv:
-                raise LedgerError("blowup curve needs degKC and genus")
+            kv = _parse_kv(args[1:], ("degKC", "genus"))
             return apply_curve_blowup(state, CurveBlowupData(kv["degKC"], kv["genus"]))
         if center not in ("point", "plane"):
             raise LedgerError("unknown blowup center")
@@ -251,9 +255,7 @@ def _apply_line(state: Optional[LedgerState], parts: list[str]) -> LedgerState:
             raise LedgerError(f"blowup {center} takes no arguments, got {args[1]!r}")
         return apply_point_blowup(state) if center == "point" else apply_plane_blowup(state)
     if head == "flip":
-        kv = _parse_kv(args, integers=False)
-        if "dir" not in kv or "s" not in kv:
-            raise LedgerError("flip needs dir= and s=")
+        kv = _parse_kv(args, ("dir", "s"), integers=False)
         if kv["dir"] not in _DIRECTIONS:
             raise LedgerError(f"unknown direction {kv['dir']!r}")
         try:

@@ -14,11 +14,14 @@ ambiguity of the terminal contraction type is detected on low Picard
 numbers; typing a fixed divisor takes one walk.  Every walk started
 from one variety, for any divisor and in either mode, shares one
 registry of the models it reached, keyed by fan and kept on the start
-variety (``_models``): a flip or contraction onto a fan that another
-branch or walk already reached continues on that model, with its walls,
-cone of curves, extremal rays and ledger, instead of a rebuilt one.
-Typing the fixed divisors of R3 takes 21 steps onto 12 distinct fans,
-so walls are computed on 13 models, the start included.
+variety (``_models``).  A step computes the target's fan first
+(``surgery.flipped_fan``, ``surgery.contracted_fan``) and builds a model
+only for a fan the registry does not hold; a flip or contraction onto a
+fan that another branch or walk already reached continues on that
+model, with its walls, cone of curves, extremal rays and ledger.
+Typing the fixed divisors of R3 takes 21 steps onto 12 distinct fans
+and builds 12 models, so walls are computed on 13 models, the start
+included.
 
 Cone suite.  Built once per variety.  Its dualities are checked
 against the inputs (wall classes against Nef, ray classes against the
@@ -31,13 +34,17 @@ cones of the small modifications of X; enumeration walks the interior
 facets by flips, and each discovered model is independently
 reconstructed from a chamber-interior weight through the regular
 triangulation it selects, which guards the surgery route with the
-secondary-fan route.  Every small modification keeps the rays, hence
-the divisor classes, so the Gale-dual membership test inverts each
-complement basis once per walk (``_gale_inverses``) and a chamber's
-check is sign tests of dot products.  Interiors are disjoint because
-each chamber lies in the cone of weights that keep every maximal cone
-of its fan (the secondary cone; Oda-Park, Tohoku Math. J. 1991): a
-generic weight in two chambers would select two distinct fans.
+secondary-fan route.  The walk computes each flipped fan first and
+builds a model (``surgery.flipped_model``) only for a fan it has not
+reached, so R3's 9 chambers build 8 models beyond the start; each
+inherits from the model it was flipped from what the flip kept.
+Every small modification keeps the rays, hence the divisor classes, so
+the Gale-dual membership test inverts each complement basis once per
+walk (``_gale_inverses``) and a chamber's check is sign tests of dot
+products.  Interiors are disjoint because each chamber lies in the cone
+of weights that keep every maximal cone of its fan (the secondary cone;
+Oda-Park, Tohoku Math. J. 1991): a generic weight in two chambers would
+select two distinct fans.
 Coverage of the movable cone is checked at one point per chamber facet
 inside Mov: the walk crossed that facet, and the chamber it reached
 holds the point.  Each model builds its cone of curves once
@@ -58,9 +65,11 @@ from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
     SurgeryError,
-    contract,
+    contracted_fan,
+    contracted_model,
     extremal_rays,
-    flip,
+    flipped_fan,
+    flipped_model,
     ne_cone,
 )
 from .variety import CurveClass, DivisorClass, ToricVariety
@@ -231,18 +240,25 @@ def _apply_step(
     X: ToricVariety, vec, c: CurveClass, desc: ContractionDescriptor, models: dict
 ) -> tuple[TraceStep, Optional[ToricVariety], Optional[tuple]]:
     """Execute one MMP step; returns (step, next variety, next divisor).
-    The next variety is the model in ``models`` with the target's fan,
-    if there is one, and is added to ``models`` otherwise."""
+    The target's fan is computed first; the next variety is the model in
+    ``models`` with that fan, if there is one, and is built and added to
+    ``models`` otherwise."""
     if desc.kind == "small":
         if not desc.flippable:
             raise MoriError(
                 f"negative small ray with non-flippable circuit {list(desc.relation_sample)}"
             )
-        X2, circuits = flip(X, c)
+        fan2, circuits = flipped_fan(X, c)
+        X2 = models.get(fan2)
+        if X2 is None:
+            X2 = models[fan2] = flipped_model(X, fan2)
         move, vec2, circuit_count = "flip", tuple(vec), len(circuits)
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
-        X2 = contract(X, r, desc.center, allow_singular=True)
+        fan2 = contracted_fan(X, r, desc.center)
+        X2 = models.get(fan2)
+        if X2 is None:
+            X2 = models[fan2] = contracted_model(X, fan2, r, allow_singular=True)
         if X2.is_smooth != desc.type_label.endswith("^sm"):
             target = "smooth" if X2.is_smooth else "singular"
             raise InternalCheckError(
@@ -253,7 +269,6 @@ def _apply_step(
         move, circuit_count = "contraction", 0
     else:
         raise MoriError("fiber-type ray cannot be executed as a birational step")
-    X2 = models.setdefault(X2.fan, X2)
     step = TraceStep(
         move=move,
         curve_class=c,
@@ -621,19 +636,19 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     )
                     continue
                 try:
-                    flipped, _ = flip(node, c)
+                    fan2, _ = flipped_fan(node, c)
                 except SurgeryError as e:
                     excluded.append(str(e))
                     continue
-                fkey = flipped.fan.canonical_key()
+                fkey = fan2.canonical_key()
                 if fkey not in position:
                     if len(fans) >= max_chambers:
                         raise MoriError(
                             f"chamber enumeration of fan {h} exceeds the cap of {max_chambers} chambers"
                         )
                     position[fkey] = len(fans)
-                    fans.append(flipped.fan)
-                    nxt.append(flipped)
+                    fans.append(fan2)
+                    nxt.append(flipped_model(node, fan2))
                 j = position[fkey]
                 crossed[(i, c.coords)] = j
                 if (j, i) not in edges:

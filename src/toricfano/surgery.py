@@ -16,6 +16,16 @@ center, the positive support of its relation (Reid: the relation fixes
 the contraction), and ``contract`` re-fans the star over exactly that
 center.  The flippable small pattern is a five-ray circuit with unit
 coefficients split 3 against 2.
+
+Flips and contractions come in two steps: the fan-level move
+(``flipped_fan``, ``contracted_fan``) and the model build
+(``flipped_model``, ``contracted_model``), so a walk that already holds
+the target's model builds nothing.  A bistellar flip replaces only the
+cones of its circuits (De Loera-Rambau-Santos, *Triangulations*,
+ch. 4) and keeps the rays, so its model inherits from the source the
+dual bases of the kept cones, the relation lattice and its section,
+and the walls on ridges between two kept cones.  Contractions and
+blow-ups change the rays and build their models from nothing.
 """
 
 from __future__ import annotations
@@ -50,10 +60,13 @@ def blowup(
     """Star subdivision at the primitive sum of the center cone's rays.
 
     The center must be a cone of the fan of dimension 2..dim (invariant
-    surface, curve, or point on a 4-fold).
+    surface, curve, or point on a 4-fold), given by distinct rays.
     """
     fan = X.fan
     center = tuple(sorted(center))
+    repeated = next((i for i, j in zip(center, center[1:]) if i == j), None)
+    if repeated is not None:
+        raise SurgeryError(f"center {list(center)} repeats ray {repeated}")
     if len(center) < 2 or len(center) > fan.dim:
         raise SurgeryError(
             f"center must have 2..{fan.dim} rays, got {len(center)}"
@@ -106,6 +119,36 @@ def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
     return Fan.make(fan.dim, rays, cones)
 
 
+def contracted_fan(X: ToricVariety, ray_index: int, center: Sequence[int]) -> Fan:
+    """The fan of ``contract``: the ray removed and its star re-fanned
+    over the center."""
+    fan = X.fan
+    if not 0 <= ray_index < fan.n_rays:
+        raise SurgeryError(f"no ray {ray_index}")
+    return _refanned_star(fan, ray_index, tuple(sorted(center)))
+
+
+def contracted_model(
+    X: ToricVariety,
+    fan: Fan,
+    ray_index: int,
+    *,
+    allow_singular: bool = False,
+    name: Optional[str] = None,
+) -> ToricVariety:
+    """The variety of ``contracted_fan(X, ray_index, ...)``, refused
+    when singular unless ``allow_singular``."""
+    try:
+        Y = ToricVariety(fan, allow_singular=True, name=name)
+    except ValidationError as e:
+        raise SurgeryError(str(e)) from None
+    if not Y.is_smooth and not allow_singular:
+        raise SurgeryError(f"contracting ray {ray_index} leaves the smooth toric category")
+    if name is None:
+        Y.name = (X.name or "X") + ("-contract" if Y.is_smooth else "-contract(singular)")
+    return Y
+
+
 def contract(
     X: ToricVariety,
     ray_index: int,
@@ -122,21 +165,12 @@ def contract(
     it; a divisor carrying several such rays has one target per center.
     A singular target leaves the smooth toric category; it is
     refused unless ``allow_singular``, in which case the (still complete
-    and compatible) fan is returned flagged.
+    and compatible) fan is returned flagged.  Its two steps are
+    ``contracted_fan`` and ``contracted_model``, so a walk that already
+    holds the target's model skips the build.
     """
-    fan = X.fan
-    if not 0 <= ray_index < fan.n_rays:
-        raise SurgeryError(f"no ray {ray_index}")
-    new_fan = _refanned_star(fan, ray_index, tuple(sorted(center)))
-    try:
-        Y = ToricVariety(new_fan, allow_singular=True, name=name)
-    except ValidationError as e:
-        raise SurgeryError(str(e)) from None
-    if not Y.is_smooth and not allow_singular:
-        raise SurgeryError(f"contracting ray {ray_index} leaves the smooth toric category")
-    if name is None:
-        Y.name = (X.name or "X") + ("-contract" if Y.is_smooth else "-contract(singular)")
-    return Y
+    fan = contracted_fan(X, ray_index, center)
+    return contracted_model(X, fan, ray_index, allow_singular=allow_singular, name=name)
 
 
 # -- flips ------------------------------------------------------------
@@ -188,12 +222,13 @@ def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> l
     return circuits
 
 
-def flip(
-    X: ToricVariety,
-    curve: Union[CurveClass, Sequence[int]],
-    name: Optional[str] = None,
-) -> tuple[ToricVariety, list[FlipCircuit]]:
-    """Bistellar exchange on every circuit of a small extremal class."""
+def flipped_fan(
+    X: ToricVariety, curve: Union[CurveClass, Sequence[int]]
+) -> tuple[Fan, list[FlipCircuit]]:
+    """Bistellar exchange on every circuit of a small extremal class, on
+    the fan alone.  The exchange replaces the cones of each circuit and
+    keeps every other maximal cone, so the new fan carries X's dual
+    basis of each kept cone (``Fan.carried_bases``)."""
     circuits = flip_circuits(X, curve)
     cones = set(X.fan.max_cones)
     for circ in circuits:
@@ -209,11 +244,41 @@ def flip(
                 f"fan does not contain the cones {missing} of circuit {list(circ.support)}"
             )
         cones = (cones - old) | new
-    new_fan = Fan.make(X.dim, [list(r) for r in X.fan.rays], sorted(cones))
-    return (
-        ToricVariety(new_fan, name=name or (X.name or "X") + "+flip"),
-        circuits,
-    )
+    bases = X.report.dual_bases
+    carried = {c: bases[c] for c in cones if c in bases}
+    return Fan(X.dim, X.fan.rays, tuple(sorted(cones)), carried_bases=carried), circuits
+
+
+def flipped_model(X: ToricVariety, fan: Fan, name: Optional[str] = None) -> ToricVariety:
+    """The variety of a fan that ``flipped_fan`` made from X.
+
+    A flip keeps the rays, so the model shares X's relation lattice
+    (``curve_basis``) and its section, and takes X's wall on every ridge
+    whose two maximal cones the flip kept; its validation reads the
+    carried dual bases.  A fan with other rays is built from nothing.
+    """
+    Y = ToricVariety(fan, name=name or (X.name or "X") + "+flip")
+    if fan.rays == X.fan.rays:
+        Y.__dict__.update(curve_basis=X.curve_basis, _section=X._section)
+        cones = set(fan.max_cones)
+        Y._kept_walls = {
+            w.shared: w
+            for w in X.walls
+            if tuple(sorted((*w.shared, w.left))) in cones
+            and tuple(sorted((*w.shared, w.right))) in cones
+        }
+    return Y
+
+
+def flip(
+    X: ToricVariety,
+    curve: Union[CurveClass, Sequence[int]],
+    name: Optional[str] = None,
+) -> tuple[ToricVariety, list[FlipCircuit]]:
+    """Bistellar exchange on every circuit of a small extremal class:
+    ``flipped_fan``, then ``flipped_model``."""
+    fan, circuits = flipped_fan(X, curve)
+    return flipped_model(X, fan, name), circuits
 
 
 # -- extremal rays and contraction types -------------------------------

@@ -22,6 +22,13 @@ sum_sigma l_1 l_2 e2(w) / e4(w), c(T_X) restricting to prod (1 + w_i).
 On a smooth fan the g_i are integers, so the sum is taken over one
 integer common denominator; a non-integral anticanonical result is an
 engine bug, not a property of the input.
+
+A model built by a flip (``surgery.flipped_model``) starts with what
+the flip kept from its source: the relation lattice basis and its
+section (the rays are the same), and the source's walls on ridges
+whose two maximal cones the flip kept (``_kept_walls``, dropped once
+the model's own walls exist, so models do not chain).  Its validation
+reads the dual bases its fan carries for the kept cones.
 """
 
 from __future__ import annotations
@@ -153,6 +160,7 @@ class ToricVariety:
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
         self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
         self._models: Optional[dict[Fan, ToricVariety]] = None  # kept by mori._models
+        self._kept_walls: Optional[dict[tuple[int, ...], Wall]] = None  # kept by surgery.flipped_model
 
     # -- class group -------------------------------------------------
 
@@ -254,7 +262,14 @@ class ToricVariety:
         sum_j r_j s(j), where s(j) is ray j's row of the section columns
         s_a (the relation lattice is saturated, so an integer relation r
         is sum_a (r . s_a) k_a).
+
+        On a model built by a flip, a ridge whose two maximal cones the
+        flip kept takes the source's wall (``_kept_walls``): the rays,
+        the two cones' dual bases and the section are the source's, so
+        the wall is too.  The slot is dropped here, so a model holds no
+        walls of its source once its own exist.
         """
+        kept, self._kept_walls = self._kept_walls or {}, None
         rays = self.fan.rays
         bases = self._cone_normals
         section_rows = list(zip(*self._section)) if self.is_smooth else None
@@ -262,6 +277,9 @@ class ToricVariety:
         for facet, cones in sorted(self.report.facets.items()):
             if len(cones) != 2:
                 raise ValidationError(f"facet {facet} is not a wall")
+            if facet in kept:
+                out.append(kept[facet])
+                continue
             (c1, c2) = cones
             a = next(i for i in c1 if i not in facet)
             b = next(i for i in c2 if i not in facet)

@@ -265,13 +265,21 @@ def test_registry_that_is_a_file_is_input_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot register 'B' in {registry}: ") and "File exists" in err
 
 
-@pytest.mark.parametrize("name", ["a/b", "..", "a/", "/abs"])
+@pytest.mark.parametrize("name", ["a/b", "..", "a/", "/abs", "", "."])
 def test_as_name_must_be_one_path_component(capsys, registry, name):
     code, out, err = run(
         capsys, "--registry", registry, "blowup", "P4", "--center", "0,1,2,3", "--as", name
     )
     assert code == 2 and out == ""
     assert err == f"error: --as {name!r} is not a single path component\n"
+
+
+def test_blowup_center_that_repeats_a_ray_is_input_error(capsys, registry):
+    # 0,0,1 would star-subdivide at 2u0 + u1 into repeated cones.
+    code, out, err = run(capsys, "--registry", registry, "blowup", "P4", "--center", "0,0,1")
+    assert code == 2 and out == ""
+    assert err == "error: center [0, 0, 1] repeats ray 0\n"
+    assert not Path(registry, "P4_blowup.json").exists()
 
 
 def test_register_into_a_missing_subdirectory_is_input_error(tmp_path):

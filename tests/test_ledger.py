@@ -270,3 +270,29 @@ def test_run_script_keeps_the_line_prefix_single():
     with pytest.raises(LedgerError) as e:
         run_script("start custom chi=x degK4=0 c2K2=0 rho=1")
     assert str(e.value) == "line 1: value of 'chi' is not an integer"
+
+
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ("start P4\nflip dir=f2s s=1 foo=2 s=3", "line 2: unknown key 'foo', expected one of dir, s"),
+        ("start P4\nflip dir=f2s s=1 s=3", "line 2: repeated key 's'"),
+        ("start P4\nflip dir=f2s dir=s2f s=1", "line 2: repeated key 'dir'"),
+        (
+            "start custom chi=126 degK4=625 c2K2=250 rho=1 colour=7",
+            "line 1: unknown key 'colour', expected one of chi, degK4, c2K2, rho",
+        ),
+        ("start custom chi=126 chi=126 degK4=625 c2K2=250 rho=1", "line 1: repeated key 'chi'"),
+        ("start P4\n\nblowup curve degKC=5 genus=0 genus=1", "line 3: repeated key 'genus'"),
+        # A key of another move is not a key of this one.
+        ("start P4\nblowup curve degKC=5 genus=0 s=1", "line 2: unknown key 's', expected one of degKC, genus"),
+        ("start P4\nflip dir=f2s s=1 genus=0", "line 2: unknown key 'genus', expected one of dir, s"),
+        ("start P4\nflip s=1", "line 2: missing ['dir']"),
+        ("start P4\nblowup curve", "line 2: missing ['degKC', 'genus']"),
+        ("start custom chi=126 rho=1", "line 1: missing ['degK4', 'c2K2']"),
+    ],
+)
+def test_run_script_refuses_unknown_and_repeated_keys(script, message):
+    with pytest.raises(LedgerError) as e:
+        run_script(script)
+    assert str(e.value) == message

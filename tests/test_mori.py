@@ -30,7 +30,7 @@ from toricfano.mori import (
     _gale_inverses,
     _triangulation_from_weight,
 )
-from toricfano.surgery import blowup, flip, ne_cone
+from toricfano.surgery import blowup, flip, flipped_fan, ne_cone
 from toricfano.variety import ToricVariety
 
 from test_cones import _intersect
@@ -649,16 +649,15 @@ def test_mori_chambers_refuses_a_model_with_other_rays(monkeypatch):
     from toricfano import mori
     from toricfano.fan import Fan
 
-    def relabelled_flip(node, c):
-        flipped, circuits = flip(node, c)
-        fan = flipped.fan
+    def relabelled_flipped_fan(node, c):
+        fan, circuits = flipped_fan(node, c)
         order = list(reversed(range(fan.n_rays)))  # new ray k is old ray order[k]
         where = {old: new for new, old in enumerate(order)}
         cones = [[where[i] for i in cone] for cone in fan.max_cones]
-        return ToricVariety(Fan.make(fan.dim, [fan.rays[i] for i in order], cones)), circuits
+        return Fan.make(fan.dim, [fan.rays[i] for i in order], cones), circuits
 
     X = d3()
-    monkeypatch.setattr(mori, "flip", relabelled_flip)
+    monkeypatch.setattr(mori, "flipped_fan", relabelled_flipped_fan)
     with pytest.raises(mori.InternalCheckError, match=f"changed the rays: chamber 1 .* of fan {X.fan.content_hash()}"):
         mori_chambers(X)
 

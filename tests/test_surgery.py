@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from toricfano.fan import Fan
+import toricfano
+from toricfano.fan import Fan, validate
 from toricfano.lattice import dot, primitive_vector
 from toricfano.library import (
     bl_pt_p4,
@@ -13,7 +19,12 @@ from toricfano.library import (
     p4,
     plane_blowup_tower_base,
 )
-from toricfano.mori import _negative_candidates, mmp_all_for_divisor, mori_chambers
+from toricfano.mori import (
+    _negative_candidates,
+    classified_fixed_divisors,
+    mmp_all_for_divisor,
+    mori_chambers,
+)
 from toricfano.surgery import (
     ContractionDescriptor,
     FlipCircuit,
@@ -25,6 +36,8 @@ from toricfano.surgery import (
     extremal_rays,
     flip,
     flip_circuits,
+    flipped_fan,
+    flipped_model,
     looks_like_quadric_cone,
     ne_cone,
 )
@@ -566,3 +579,147 @@ def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
             if d.type_label == "(3,1)":
                 three_one.append(sorted(x for x in d.relation_sample if x))
     assert three_one == [[-2, 1, 1, 1]] * 3
+
+
+# -- flipped models inherit what the flip kept --------------------------
+
+
+def _fresh(fan):
+    """The variety of an equal fan built from nothing: no carried bases,
+    no cached report."""
+    validate.cache_clear()
+    return ToricVariety(Fan.make(fan.dim, fan.rays, fan.max_cones))
+
+
+@pytest.mark.parametrize("name", sorted(builtin_names()) + ["R3_06"])
+def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
+    from toricfano import mori
+
+    start = blowup(builtin("R3"), (0, 6)).fan if name == "R3_06" else builtin(name).fan
+    built = []
+
+    def recording(X, fan):
+        Y = flipped_model(X, fan)
+        built.append((X, Y))
+        return Y
+
+    monkeypatch.setattr(mori, "flipped_model", recording)
+    X = _fresh(start)
+    mori_chambers(X)
+    classified_fixed_divisors(X)
+    reused = 0
+    for source, Y in built:
+        assert Y.fan.carried_bases and Y.curve_basis is source.curve_basis
+        walls = Y.walls
+        assert Y._kept_walls is None  # dropped once the walls exist
+        reused += sum(any(w is v for v in source.walls) for w in walls)
+        fresh = _fresh(Y.fan)
+        assert Y.report.checks == fresh.report.checks and Y.report.ok
+        assert list(Y.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
+        assert list(Y.report.facets.items()) == list(fresh.report.facets.items())
+        assert walls == fresh.walls
+        assert Y.curve_basis == fresh.curve_basis and Y._section == fresh._section
+        assert Y.ledger_state() == fresh.ledger_state()
+    assert reused or not built
+
+
+def _same_report(fan):
+    """The report of ``fan`` equals the report of an equal fan without
+    carried bases, order of the bases and ridge map included."""
+    report = validate.__wrapped__(fan)
+    reference = validate.__wrapped__(Fan.make(fan.dim, fan.rays, fan.max_cones))
+    assert report.checks == reference.checks
+    assert list(report.dual_bases.items()) == list(reference.dual_bases.items())
+    assert list(report.facets.items()) == list(reference.facets.items())
+    return report
+
+
+def test_a_corrupted_carried_basis_gives_the_report_of_a_fresh_build():
+    X = d3()
+    (c,) = [c for c, d in extremal_rays(X) if d.kind == "small"]
+    fan, _ = flipped_fan(X, c)
+    carried = fan.carried_bases
+    assert set(carried) < set(fan.max_cones)  # the new cones carry nothing
+    cone, other = sorted(carried)[:2]
+    rows = carried[cone]
+    corruptions = [
+        rows[::-1],
+        [tuple(-x for x in g) for g in rows],
+        rows[:-1],
+        [tuple(2 * x for x in rows[0]), *rows[1:]],
+        [g + (0,) for g in rows],
+        carried[other],
+    ]
+    for bad in corruptions:
+        corrupted = Fan(fan.dim, fan.rays, fan.max_cones, carried_bases={**carried, cone: bad})
+        assert _same_report(corrupted).dual_bases[cone] == rows
+    # Carried bases on fans that fail validation: a ray negated, a ray moved.
+    for k, ray in ((0, tuple(-x for x in fan.rays[0])), (1, tuple(map(sum, zip(*fan.rays[:3]))))):
+        rays = fan.rays[:k] + (ray,) + fan.rays[k + 1:]
+        assert not _same_report(Fan(fan.dim, rays, fan.max_cones, carried_bases=carried)).ok
+
+
+_COUNTS = """
+import sys
+from toricfano import fan, lattice, mori
+from toricfano.fan import Fan
+from toricfano.library import builtin
+from toricfano.variety import ToricVariety
+
+counts = {"models": 0, "dual_basis": 0, "walls": 0}
+init, eliminate = ToricVariety.__init__, lattice.dual_basis
+walls = ToricVariety.__dict__["walls"]
+wall_func = walls.func
+
+def counted_init(self, *args, **kwargs):
+    counts["models"] += 1
+    init(self, *args, **kwargs)
+
+def counted_dual_basis(m):
+    counts["dual_basis"] += 1
+    return eliminate(m)
+
+def counted_walls(self):
+    counts["walls"] += 1
+    return wall_func(self)
+
+name, walk = sys.argv[1:]
+F = builtin(name).fan
+order = list(reversed(range(F.n_rays)))
+where = {old: new for new, old in enumerate(order)}
+F = Fan.make(F.dim, [F.rays[i] for i in order], [[where[i] for i in c] for c in F.max_cones])
+ToricVariety.__init__ = counted_init
+walls.func = counted_walls
+fan.dual_basis = mori.dual_basis = counted_dual_basis  # validation and the Gale walk
+X = ToricVariety(F)
+if walk == "chambers":
+    mori.mori_chambers(X)
+else:
+    mori.classified_fixed_divisors(X)
+print(counts["models"], counts["dual_basis"], counts["walls"])
+"""
+
+
+@pytest.mark.parametrize(
+    "name,walk,counts",
+    [
+        ("R3", "chambers", "9 85 9"),
+        ("R3", "fixed", "13 131 13"),
+        ("D3", "chambers", "2 33 2"),
+        ("D3", "fixed", "5 39 4"),
+    ],
+)
+def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts):
+    # (models built, dual_basis eliminations, walls computed) on the
+    # builtin with its rays in reverse order; before flipped models
+    # inherited, these read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNTS, name, walk],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == counts
