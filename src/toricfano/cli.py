@@ -196,16 +196,20 @@ def cmd_info(session: Session, args) -> int:
     return EXIT_OK
 
 
-def _surgery_report(
-    session: Session, args, X: ToricVariety, Y: ToricVariety, move: str, data: dict
-) -> int:
+def _result_name(args, move: str) -> str:
+    """The registry name of a surgery result, checked before any surgery
+    runs.  A fan given by path is named by its file name, so the result
+    lands in the registry rather than next to the input."""
     if args.as_name is not None and (
         Path(args.as_name).name != args.as_name or args.as_name in ("", "..")
     ):
         raise CliError(f"--as {args.as_name!r} is not a single path component")
-    # A fan given by path is named by its file name, so the result lands
-    # in the registry rather than next to the input.
-    new_name = args.as_name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
+    return args.as_name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
+
+
+def _surgery_report(
+    session: Session, args, X: ToricVariety, Y: ToricVariety, move: str, new_name: str, data: dict
+) -> int:
     out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
     lb = X.ledger_state() if X.is_smooth else None
     la = Y.ledger_state() if Y.is_smooth else None
@@ -236,13 +240,15 @@ def _surgery_report(
 
 
 def cmd_blowup(session: Session, args) -> int:
+    new_name = _result_name(args, "blowup")
     X = session.resolve(args.name)
     center = _parse_int_csv(args.center, "--center")
     Y = blowup(X, center)
-    return _surgery_report(session, args, X, Y, "blowup", {"center": list(center)})
+    return _surgery_report(session, args, X, Y, "blowup", new_name, {"center": list(center)})
 
 
 def cmd_contract(session: Session, args) -> int:
+    new_name = _result_name(args, "contract")
     X = session.resolve(args.name)
     if not 0 <= args.ray < X.n_rays:
         raise CliError(f"ray index {args.ray} out of range")
@@ -255,10 +261,11 @@ def cmd_contract(session: Session, args) -> int:
     center = min(centers, key=lambda c: (len(c), c))
     Y = contract(X, args.ray, center, allow_singular=args.allow_singular)
     data = {"ray": args.ray, "smooth_result": Y.is_smooth}
-    return _surgery_report(session, args, X, Y, "contract", data)
+    return _surgery_report(session, args, X, Y, "contract", new_name, data)
 
 
 def cmd_flip(session: Session, args) -> int:
+    new_name = _result_name(args, "flip")
     X = session.resolve(args.name)
     cls = _parse_int_csv(args.curve_class, "--class")
     if len(cls) != X.rho:
@@ -268,7 +275,7 @@ def cmd_flip(session: Session, args) -> int:
         "class": list(cls),
         "circuits": [list(c.support) for c in circuits],
     }
-    return _surgery_report(session, args, X, Y, "flip", data)
+    return _surgery_report(session, args, X, Y, "flip", new_name, data)
 
 
 def _parse_divisor(X: ToricVariety, text: str):
@@ -354,10 +361,8 @@ def cmd_chambers(session: Session, args) -> int:
         _emit_json(ch.as_dict())
     else:
         print(f"chambers: {ch.count}")
-        rows = [
-            [ch.fans[i].content_hash(), ch.fans[j].content_hash(), list(cls)]
-            for i, j, cls in ch.adjacency
-        ]
+        nodes = [f.content_hash() for f in ch.fans]
+        rows = [[nodes[i], nodes[j], list(cls)] for i, j, cls in ch.adjacency]
         print(_table(["from", "to", "flipped class"], rows))
         for line in ch.excluded:
             print(f"excluded: {line}")

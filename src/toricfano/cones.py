@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .lattice import (
@@ -86,7 +87,8 @@ def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> Optional[list[
         if full & bit:
             continue
         a = constraints[idx]
-        vals = [dot(a, r) for r, _ in rays]
+        vals = [sum(map(mul, a, r)) for r, _ in rays]
+        masks = [t for _, t in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
         new_rays = [(r, t | bit if v == 0 else t) for (r, t), v in zip(rays, vals) if v >= 0]
@@ -95,8 +97,10 @@ def _pointed_extreme_rays(constraints: list[IntVec], dim: int) -> Optional[list[
             for n in neg:
                 rn, tn = rays[n]
                 common = tp & tn
-                if common.bit_count() < dim - 2 or any(
-                    t & common == common for k, (_, t) in enumerate(rays) if k != p and k != n
+                # p and n are tight on ``common``; a third such ray
+                # makes the pair non-adjacent.
+                if common.bit_count() < dim - 2 or (
+                    sum(map(common.__eq__, map(common.__and__, masks))) > 2
                 ):
                     continue
                 combo = [vals[p] * x - vals[n] * y for x, y in zip(rn, rp)]
@@ -190,7 +194,7 @@ class RationalCone:
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return all(dot(n, v) >= 0 for n in self.facet_normals)
+        return all(sum(map(mul, n, v)) >= 0 for n in self.facet_normals)
 
     def contains_in_relative_interior(self, v: Sequence) -> bool:
         if not self.contains(v):

@@ -6,6 +6,9 @@ sequences of rows of Python ints, rational vectors are tuples of
 which Fraction guarantees).  No floating point is used anywhere.
 Rational rows are cleared of denominators on the way in, elimination
 runs over Z, and ``Fraction`` values are built only for answers.
+Inner loops run on C builtins (``map`` with ``operator.mul``,
+``math.gcd``) for speed; the values are the same exact ints and
+Fractions the plain loops give.
 
 Conventions:
   * a "matrix" is a list/tuple of equal-length rows;
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -36,7 +40,7 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vector_gcd(v: Sequence[int]) -> int:
@@ -58,11 +62,14 @@ def primitive_vector(v: Sequence) -> IntVector:
 
     Only positive scaling is applied, so the ray direction is preserved.
     """
-    ints = _integer_row(v)
-    g = gcd(*ints)
+    try:
+        g = gcd(*v)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        v = _integer_row(v)
+        g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:

@@ -38,13 +38,13 @@ secondary-fan route.  The walk computes each flipped fan first and
 builds a model (``surgery.flipped_model``) only for a fan it has not
 reached, so R3's 9 chambers build 8 models beyond the start; each
 inherits from the model it was flipped from what the flip kept.
-Every small modification keeps the rays, hence the divisor classes, so
-the Gale-dual membership test inverts each complement basis once per
-walk (``_gale_inverses``) and a chamber's check is sign tests of dot
-products.  Interiors are disjoint because each chamber lies in the cone
-of weights that keep every maximal cone of its fan (the secondary cone;
-Oda-Park, Tohoku Math. J. 1991): a generic weight in two chambers would
-select two distinct fans.
+Every small modification keeps the rays, hence the divisor classes
+(``ToricVariety.ray_classes``), so the Gale-dual membership test
+inverts each complement basis once per walk (``_gale_inverses``) and a
+chamber's check is sign tests of dot products.  Interiors are disjoint
+because each chamber lies in the cone of weights that keep every
+maximal cone of its fan (the secondary cone; Oda-Park, Tohoku Math. J.
+1991): a generic weight in two chambers would select two distinct fans.
 Coverage of the movable cone is checked at one point per chamber facet
 inside Mov: the walk crossed that facet, and the chamber it reached
 holds the point.  Each model builds its cone of curves once
@@ -115,8 +115,8 @@ class ConeSuite:
 def _rays_by_class(X: ToricVariety) -> dict[IntVec, list[int]]:
     """The invariant prime divisors carrying each primitive class."""
     out: dict[IntVec, list[int]] = {}
-    for i in range(X.n_rays):
-        out.setdefault(primitive_vector(X.ray_divisor_class(i).coords), []).append(i)
+    for i, c in enumerate(X.ray_classes):
+        out.setdefault(primitive_vector(c), []).append(i)
     return out
 
 
@@ -136,15 +136,18 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
     nef = ne.dual()
     if nef.dim < X.rho:
         raise MoriError("fan is not projective: nef cone has empty interior")
-    h = X.fan.content_hash()
     walls = [w.curve_class.coords for w in X.walls]
     if any(dot(c, g) < 0 for c in walls for g in nef.generators):
-        raise InternalCheckError(f"duality failure: a wall class is negative on Nef on fan {h}")
-    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+        raise InternalCheckError(
+            f"duality failure: a wall class is negative on Nef on fan {X.fan.content_hash()}"
+        )
+    classes = X.ray_classes
     eff = RationalCone.from_generators(classes, X.rho)
     mov_curves = eff.dual()
     if any(dot(c, g) < 0 for c in classes for g in mov_curves.generators):
-        raise InternalCheckError(f"duality failure: a ray class is negative on dual(Eff) on fan {h}")
+        raise InternalCheckError(
+            f"duality failure: a ray class is negative on dual(Eff) on fan {X.fan.content_hash()}"
+        )
     rays_by_class = _rays_by_class(X)
     extra = []
     for g in eff.generators:
@@ -155,7 +158,9 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
     mov = RationalCone.from_inequalities(list(eff.facet_normals) + extra, X.rho) if extra else eff
     for small, big, names in ((nef, mov, "Nef <= Mov"), (mov, eff, "Mov <= Eff")):
         if not big.contains_cone(small):
-            raise InternalCheckError(f"cone chain Nef <= Mov <= Eff violated on fan {h}: not {names}")
+            raise InternalCheckError(
+                f"cone chain Nef <= Mov <= Eff violated on fan {X.fan.content_hash()}: not {names}"
+            )
     X._suite = ConeSuite(nef=nef, mov=mov, eff=eff, ne=ne, mov_curves=mov_curves)
     return X._suite
 
@@ -515,12 +520,12 @@ class ChamberFan:
         return len(self.chambers)
 
     def as_dict(self) -> dict:
+        nodes = [f.content_hash() for f in self.fans]
         return {
             "chamber_count": self.count,
-            "nodes": [f.content_hash() for f in self.fans],
+            "nodes": nodes,
             "edges": [
-                {"from": self.fans[i].content_hash(), "to": self.fans[j].content_hash(),
-                 "flipped_class": list(c)}
+                {"from": nodes[i], "to": nodes[j], "flipped_class": list(c)}
                 for i, j, c in self.adjacency
             ],
             "excluded": self.excluded,
@@ -536,7 +541,7 @@ def _gale_inverses(X: ToricVariety) -> dict[IntVec, list[IntVec]]:
     By Gale duality those rho classes form a basis of the class group
     exactly when the rays of sigma are independent.
     """
-    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+    classes = X.ray_classes
     out = {}
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
@@ -560,7 +565,7 @@ def _triangulation_from_weight(
     when its coordinates in that basis (``_gale_inverses``) are all
     nonnegative."""
     return frozenset(
-        sigma for sigma, rows in inverses.items() if all(dot(r, w) >= 0 for r in rows)
+        sigma for sigma, rows in inverses.items() if all(sum(map(mul, r, w)) >= 0 for r in rows)
     )
 
 
@@ -589,7 +594,6 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
     outside the simplicial category).
     """
     suite = cone_suite(X)
-    h = X.fan.content_hash()
     inverses = _gale_inverses(X)
     position: dict[tuple, int] = {X.fan.canonical_key(): 0}
     fans: list[Fan] = [X.fan]
@@ -600,7 +604,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
     excluded: list[str] = []
 
     def chamber(i: int) -> str:
-        return f"chamber {i} (fan {fans[i].content_hash()}) of fan {h}"
+        return f"chamber {i} (fan {fans[i].content_hash()}) of fan {X.fan.content_hash()}"
 
     frontier = [X]
     while frontier:
@@ -644,7 +648,8 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                 if fkey not in position:
                     if len(fans) >= max_chambers:
                         raise MoriError(
-                            f"chamber enumeration of fan {h} exceeds the cap of {max_chambers} chambers"
+                            f"chamber enumeration of fan {X.fan.content_hash()}"
+                            f" exceeds the cap of {max_chambers} chambers"
                         )
                     position[fkey] = len(fans)
                     fans.append(fan2)

@@ -58,10 +58,14 @@ def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> Int
 
 
 def _as_coords(v: Sequence) -> Coords:
+    """The entries as ints where integral, as Fractions otherwise."""
     out = []
     for x in v:
-        f = Fraction(x)
-        out.append(int(f) if f.denominator == 1 else f)
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        out.append(x)
     return tuple(out)
 
 
@@ -211,10 +215,17 @@ class ToricVariety:
         coords = _as_coords(dot(k, coefficients) for k in self.curve_basis)
         return DivisorClass(coords, _as_coords(coefficients))
 
+    @cached_property
+    def ray_classes(self) -> tuple[IntVec, ...]:
+        """The class of each invariant prime divisor D_i: the i-th column
+        of the curve basis, so the classes are the Gale dual of the rays."""
+        self._require_smooth()
+        return tuple(zip(*self.curve_basis))
+
     def ray_divisor_class(self, i: int) -> DivisorClass:
         coeffs = [0] * self.n_rays
         coeffs[i] = 1
-        return self.divisor_class(coeffs)
+        return DivisorClass(self.ray_classes[i], tuple(coeffs))
 
     @cached_property
     def anticanonical_class(self) -> DivisorClass:

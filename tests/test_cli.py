@@ -274,6 +274,28 @@ def test_as_name_must_be_one_path_component(capsys, registry, name):
     assert err == f"error: --as {name!r} is not a single path component\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "P4", "--center", "0,1,2,3"],
+        ["contract", "Bl_pt_P4", "--ray", "5"],
+        ["flip", "D3", "--class", "0,-1,0"],
+    ],
+)
+def test_a_refused_name_runs_no_surgery(capsys, registry, monkeypatch, argv):
+    from toricfano import cli
+
+    def surgery(*args, **kwargs):
+        raise AssertionError("surgery ran before --as was checked")
+
+    for move in ("blowup", "contract", "flip", "extremal_rays"):
+        monkeypatch.setattr(cli, move, surgery)
+    code, out, err = run(capsys, "--registry", registry, *argv, "--as", "a/b")
+    assert code == 2 and out == ""
+    assert err == "error: --as 'a/b' is not a single path component\n"
+    assert not Path(registry).exists() or not any(Path(registry).iterdir())
+
+
 def test_blowup_center_that_repeats_a_ray_is_input_error(capsys, registry):
     # 0,0,1 would star-subdivide at 2u0 + u1 into repeated cones.
     code, out, err = run(capsys, "--registry", registry, "blowup", "P4", "--center", "0,0,1")

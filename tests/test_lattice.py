@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from toricfano.lattice import (
     det_int,
+    dot,
     dual_basis,
     hermite_normal_form,
     integer_kernel,
@@ -15,6 +17,7 @@ from toricfano.lattice import (
     solve_rational,
     transpose,
 )
+from toricfano.variety import _as_coords
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
@@ -310,3 +313,87 @@ def test_primitive_vector_int_and_fraction_agree(v, d):
     assert p == primitive_vector([Fraction(x, d) for x in v])
     assert all(type(x) is int for x in p)
     assert sum(x * y for x, y in zip(p, v)) > 0
+
+
+# -- the kernels against their plain-loop forms ------------------------
+
+
+def _reference_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _reference_primitive_vector(v):
+    if all(isinstance(x, int) for x in v):
+        ints = list(v)
+    else:
+        fracs = [Fraction(x) for x in v]
+        mult = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in ints)
+
+
+def _reference_as_coords(v):
+    out = []
+    for x in v:
+        f = Fraction(x)
+        out.append(int(f) if f.denominator == 1 else f)
+    return tuple(out)
+
+
+fractions_only = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# Int rows, Fraction rows (some entries integral) and mixed rows.
+rows = st.one_of(
+    st.lists(small_ints, max_size=6),
+    st.lists(fractions_only, max_size=6),
+    st.lists(entries, max_size=6),
+)
+
+
+def _types(v):
+    return [type(x) for x in v]
+
+
+@settings(max_examples=150)
+@given(rows, rows)
+def test_dot_equals_the_generator_form_and_refuses_unequal_lengths(u, v):
+    # map() would stop at the shorter row; dot must refuse it instead.
+    if len(u) != len(v):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dot(u, v)
+        return
+    assert dot(u, v) == _reference_dot(u, v)
+    assert type(dot(u, v)) is type(_reference_dot(u, v))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(*[entries] * 2 * n)))
+def test_dot_on_equal_lengths_keeps_value_and_type(flat):
+    u, v = flat[: len(flat) // 2], flat[len(flat) // 2 :]
+    assert dot(u, v) == _reference_dot(u, v)
+    assert type(dot(u, v)) is type(_reference_dot(u, v))
+
+
+@settings(max_examples=150)
+@given(rows)
+def test_primitive_vector_equals_the_integer_row_path(v):
+    if not any(v):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive_vector(v)
+        with pytest.raises(ValueError, match="zero vector"):
+            _reference_primitive_vector(v)
+        return
+    p = primitive_vector(v)
+    assert p == _reference_primitive_vector(v)
+    assert all(type(x) is int for x in p)
+
+
+@settings(max_examples=150)
+@given(rows)
+def test_as_coords_keeps_values_and_types(v):
+    got, want = _as_coords(v), _reference_as_coords(v)
+    assert got == want and _types(got) == _types(want)

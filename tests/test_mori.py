@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import toricfano
 
 from toricfano.cones import RationalCone, dual_extreme_rays
 from toricfano.lattice import det_int, dot, primitive_vector
@@ -734,3 +740,52 @@ def test_singular_label_on_a_smooth_contraction_is_an_internal_error(monkeypatch
     assert str(e.value) == (
         f"(3,2) contraction of ray 0 has a smooth target on fan {X.fan.content_hash()}"
     )
+
+
+_HASHES = """
+from toricfano import mori
+from toricfano.fan import Fan
+from toricfano.library import builtin
+from toricfano.variety import ToricVariety
+
+calls = {"content_hash": 0, "divisor_class": 0}
+content_hash, divisor_class = Fan.content_hash, ToricVariety.divisor_class
+
+def counted_content_hash(self):
+    calls["content_hash"] += 1
+    return content_hash(self)
+
+def counted_divisor_class(self, coefficients):
+    calls["divisor_class"] += 1
+    return divisor_class(self, coefficients)
+
+F = builtin("R3").fan
+order = list(reversed(range(F.n_rays)))
+where = {old: new for new, old in enumerate(order)}
+F = Fan.make(F.dim, [F.rays[i] for i in order], [[where[i] for i in c] for c in F.max_cones])
+Fan.content_hash = counted_content_hash
+ToricVariety.divisor_class = counted_divisor_class
+X = ToricVariety(F)
+mori.cone_suite(X)
+mori._gale_inverses(X)
+print(calls["content_hash"], calls["divisor_class"])
+d = mori.mori_chambers(X).as_dict()
+print(calls["content_hash"], len(d["nodes"]))
+"""
+
+
+def test_chamber_walk_hashes_each_fan_once_from_a_fresh_process():
+    # On R3 with its rays in reverse order: the cone suite and the Gale
+    # inverses read the ray classes without one divisor_class solve and
+    # hash no fan; the walk and its as_dict hash each of the 9 chamber
+    # fans once (35 hashes before the edges read the node hashes).
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _HASHES],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "9", "9"]
