@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import toricfano
-
 from toricfano.cones import RationalCone, dual_extreme_rays
 from toricfano.lattice import det_int, dot, primitive_vector
 from toricfano.library import (
@@ -778,7 +777,8 @@ def test_chamber_walk_hashes_each_fan_once_from_a_fresh_process():
     # On R3 with its rays in reverse order: the cone suite and the Gale
     # inverses read the ray classes without one divisor_class solve and
     # hash no fan; the walk and its as_dict hash each of the 9 chamber
-    # fans once (35 hashes before the edges read the node hashes).
+    # fans once (as_dict alone made 35 before its edges read the node
+    # hashes).
     src = str(Path(toricfano.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _HASHES],
