@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,29 +57,22 @@ class Session:
     """Named fan registry backed by a directory, plus a move log."""
 
     registry: Path
-    cache: dict[str, ToricVariety] = field(default_factory=dict)
 
     def resolve(self, name: str) -> ToricVariety:
-        if name in self.cache:
-            return self.cache[name]
         path = Path(name)
         if path.suffix == ".json" or path.exists():
-            X = self._load_path(path)
-        else:
-            reg_path = self.registry / f"{name}.json"
-            if reg_path.exists():
-                X = self._load_path(reg_path)
-            else:
-                try:
-                    X = builtin(name)
-                except KeyError:
-                    raise CliError(
-                        f"unknown fan {name!r}: not a builtin "
-                        f"({', '.join(builtin_names())}), not a file, "
-                        f"not in registry {self.registry}"
-                    ) from None
-        self.cache[name] = X
-        return X
+            return self._load_path(path)
+        reg_path = self.registry / f"{name}.json"
+        if reg_path.exists():
+            return self._load_path(reg_path)
+        try:
+            return builtin(name)
+        except KeyError:
+            raise CliError(
+                f"unknown fan {name!r}: not a builtin "
+                f"({', '.join(builtin_names())}), not a file, "
+                f"not in registry {self.registry}"
+            ) from None
 
     def _load_path(self, path: Path) -> ToricVariety:
         # Singular contraction targets are registrable; carry them
@@ -104,7 +97,6 @@ class Session:
                 fh.write(f"{name}: {move}\n")
         except (OSError, UnicodeDecodeError) as e:
             raise CliError(f"cannot register {name!r} in {self.registry}: {e}") from None
-        self.cache[name] = X
         return out
 
 

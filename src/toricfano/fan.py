@@ -82,8 +82,9 @@ class Fan:
     rays: tuple[IntVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[Optional[str], ...]] = field(default=None, compare=False)
-    # Dual bases of maximal cones kept from the fan this one was flipped
-    # from (``surgery.flipped_fan``); ``validate`` checks each before use.
+    # Dual bases of maximal cones that a variety on the same rays already
+    # validated, set by ``ToricVariety(fan, source=...)``; ``validate``
+    # checks each before use.
     carried_bases: Optional[dict[tuple[int, ...], list[IntVec]]] = field(
         default=None, compare=False, repr=False
     )
@@ -283,8 +284,9 @@ def validate(fan: Fan) -> ValidationReport:
     unimodular exactly when each normal pairs to 1 with its own ray,
     and a degenerate cone has no dual basis.  The determinant is taken
     only to word the first failing cone's ``|det| = d``.  A cone whose
-    dual basis the fan carries (``carried_bases``, set on a flipped fan
-    for the cones the flip kept) costs dim^2 dot products instead of an
+    dual basis the fan carries (``carried_bases``, set when a variety is
+    built from a source on the same rays, such as a flip of it, for the
+    cones both fans hold) costs dim^2 dot products instead of an
     elimination: the carried rows are used when they pass
     g_i . u_j = delta_ij, which only the dual basis of a unimodular cone
     does, and the cone is eliminated otherwise.  The report
@@ -295,11 +297,9 @@ def validate(fan: Fan) -> ValidationReport:
 
     Cached on the fan, up to 1024 entries: each is the report of one
     distinct fan validated in the process, passed or failed, with its
-    dual bases and ridge map.  The chamber walks and fixed-divisor MMPs
-    of all the builtins validate 31 distinct fans in one process
-    (``scripts/survey_corpus.py``), so a variety built again on an
-    equal fan, such as a chamber the walk reaches twice, costs no
-    elimination.
+    dual bases and ridge map.  The walks never build a model twice for
+    one fan (``mori``), so the hits come from a fan read again, such as
+    a request that reads back a fan an earlier surgery registered.
     """
     checks: list[CheckResult] = []
 

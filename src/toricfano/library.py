@@ -85,30 +85,24 @@ def split_bundle_fan(base: Fan, twists: Sequence[Sequence[int]]) -> Fan:
 
 
 def p4() -> ToricVariety:
-    return ToricVariety(projective_space_fan(4), name="P4")
+    return ToricVariety(projective_space_fan(4))
 
 
 def p1xp3() -> ToricVariety:
-    return ToricVariety(
-        product_fan(projective_space_fan(1), projective_space_fan(3)), name="P1xP3"
-    )
+    return ToricVariety(product_fan(projective_space_fan(1), projective_space_fan(3)))
 
 
 def p2xp2() -> ToricVariety:
-    return ToricVariety(
-        product_fan(projective_space_fan(2), projective_space_fan(2)), name="P2xP2"
-    )
+    return ToricVariety(product_fan(projective_space_fan(2), projective_space_fan(2)))
 
 
 def f2xp2() -> ToricVariety:
-    return ToricVariety(
-        product_fan(hirzebruch_fan(2), projective_space_fan(2)), name="F2xP2"
-    )
+    return ToricVariety(product_fan(hirzebruch_fan(2), projective_space_fan(2)))
 
 
 def bl_pt_p4() -> ToricVariety:
     """Blow-up of P4 at the torus-fixed point of the cone on e1..e4."""
-    return blowup(p4(), (0, 1, 2, 3), name="Bl_pt_P4")
+    return blowup(p4(), (0, 1, 2, 3))
 
 
 def bundle_over_p2_O_O1_O2() -> ToricVariety:
@@ -120,12 +114,12 @@ def bundle_over_p2_O_O1_O2() -> ToricVariety:
     base = projective_space_fan(2)
     # O(1) = D_{u2}, O(2) = 2 D_{u2} with u2 the (-1,-1) ray of P2.
     fan = split_bundle_fan(base, [[0, 0, 1], [0, 0, 2]])
-    return ToricVariety(fan, name="P(O+O(1)+O(2))/P2")
+    return ToricVariety(fan)
 
 
 def d3() -> ToricVariety:
     """Blow-up of P(O+O(1)+O(2)) over P2 along the negative section."""
-    return blowup(bundle_over_p2_O_O1_O2(), (0, 1), name="D3")
+    return blowup(bundle_over_p2_O_O1_O2(), (0, 1))
 
 
 def bundle_over_p1xp2_O11() -> ToricVariety:
@@ -137,13 +131,13 @@ def bundle_over_p1xp2_O11() -> ToricVariety:
     twist[1] = 1
     twist[4] = 1
     fan = split_bundle_fan(base, [twist])
-    return ToricVariety(fan, name="P(O+O(1,1))/P1xP2")
+    return ToricVariety(fan)
 
 
 def plane_blowup_tower_base() -> ToricVariety:
     """Bl_pt P4 blown up along the transform of an invariant plane
     through the blown-up point (rho = 3)."""
-    return blowup(bl_pt_p4(), (0, 1), name="Y_tower")
+    return blowup(bl_pt_p4(), (0, 1))
 
 
 # -- blow-up/flip tower ------------------------------------------------
@@ -193,9 +187,8 @@ def two_point_tower(
     """Blow up two torus-fixed points of the base, then flip to Fano."""
     sigma1, sigma2 = pair
     x1 = blowup(base, sigma1)
-    x2 = blowup(x1, sigma2, name=(base.name or "Y") + "+2pts")
+    x2 = blowup(x1, sigma2)
     fano, classes = flips_to_fano(x2, max_flips=max_flips)
-    fano = ToricVariety(fano.fan, name=(base.name or "Y") + "_tower_fano")
     return TowerResult(
         base=base,
         points=(tuple(sigma1), tuple(sigma2)),

@@ -16,7 +16,8 @@ from one variety, for any divisor and in either mode, shares one
 registry of the models it reached, keyed by fan and kept on the start
 variety (``_models``).  A step computes the target's fan first
 (``surgery.flipped_fan``, ``surgery.contracted_fan``) and builds a model
-only for a fan the registry does not hold; a flip or contraction onto a
+only for a fan the registry does not hold, a flipped one with the model
+it was flipped from as its source; a flip or contraction onto a
 fan that another branch or walk already reached continues on that
 model, with its walls, cone of curves, extremal rays and ledger.
 Typing the fixed divisors of R3 takes 21 steps onto 12 distinct fans
@@ -35,9 +36,10 @@ facets by flips, and each discovered model is independently
 reconstructed from a chamber-interior weight through the regular
 triangulation it selects, which guards the surgery route with the
 secondary-fan route.  The walk computes each flipped fan first and
-builds a model (``surgery.flipped_model``) only for a fan it has not
-reached, so R3's 9 chambers build 8 models beyond the start; each
-inherits from the model it was flipped from what the flip kept.
+builds a model only for a fan it has not reached, so R3's 9 chambers
+build 8 models beyond the start; each is built with the model it was
+flipped from as its source (``ToricVariety(fan, source=...)``), so it
+reuses what the flip kept.
 Every small modification keeps the rays, hence the divisor classes
 (``ToricVariety.ray_classes``), so the Gale-dual membership test
 inverts each complement basis once per walk (``_gale_inverses``) and a
@@ -69,7 +71,6 @@ from .surgery import (
     contracted_model,
     extremal_rays,
     flipped_fan,
-    flipped_model,
     ne_cone,
 )
 from .variety import CurveClass, DivisorClass, ToricVariety
@@ -256,14 +257,14 @@ def _apply_step(
         fan2, circuits = flipped_fan(X, c)
         X2 = models.get(fan2)
         if X2 is None:
-            X2 = models[fan2] = flipped_model(X, fan2)
+            X2 = models[fan2] = ToricVariety(fan2, source=X)
         move, vec2, circuit_count = "flip", tuple(vec), len(circuits)
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
         fan2 = contracted_fan(X, r, desc.center)
         X2 = models.get(fan2)
         if X2 is None:
-            X2 = models[fan2] = contracted_model(X, fan2, r, allow_singular=True)
+            X2 = models[fan2] = contracted_model(fan2, r, allow_singular=True)
         if X2.is_smooth != desc.type_label.endswith("^sm"):
             target = "smooth" if X2.is_smooth else "singular"
             raise InternalCheckError(
@@ -653,7 +654,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                         )
                     position[fkey] = len(fans)
                     fans.append(fan2)
-                    nxt.append(flipped_model(node, fan2))
+                    nxt.append(ToricVariety(fan2, source=node))
                 j = position[fkey]
                 crossed[(i, c.coords)] = j
                 if (j, i) not in edges:

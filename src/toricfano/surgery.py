@@ -18,14 +18,13 @@ center.  The flippable small pattern is a five-ray circuit with unit
 coefficients split 3 against 2.
 
 Flips and contractions come in two steps: the fan-level move
-(``flipped_fan``, ``contracted_fan``) and the model build
-(``flipped_model``, ``contracted_model``), so a walk that already holds
-the target's model builds nothing.  A bistellar flip replaces only the
-cones of its circuits (De Loera-Rambau-Santos, *Triangulations*,
-ch. 4) and keeps the rays, so its model inherits from the source the
-dual bases of the kept cones, the relation lattice and its section,
-and the walls on ridges between two kept cones.  Contractions and
-blow-ups change the rays and build their models from nothing.
+(``flipped_fan``, ``contracted_fan``) and the model build, so a walk
+that already holds the target's model builds nothing.  A bistellar flip
+replaces only the cones of its circuits (De Loera-Rambau-Santos,
+*Triangulations*, ch. 4) and keeps the rays, so its model is built as
+``ToricVariety(fan, source=X)`` and reuses what X computed for the cones
+the flip kept.  Contractions and blow-ups change the rays and build
+their models from nothing (``contracted_model``).
 """
 
 from __future__ import annotations
@@ -54,9 +53,7 @@ def _require_4fold(X: ToricVariety) -> None:
 # -- blow-up ----------------------------------------------------------
 
 
-def blowup(
-    X: ToricVariety, center: Sequence[int], name: Optional[str] = None
-) -> ToricVariety:
+def blowup(X: ToricVariety, center: Sequence[int]) -> ToricVariety:
     """Star subdivision at the primitive sum of the center cone's rays.
 
     The center must be a cone of the fan of dimension 2..dim (invariant
@@ -87,7 +84,7 @@ def blowup(
         else:
             cones.append(c)
     new_fan = Fan.make(fan.dim, list(fan.rays) + [list(new_ray)], cones)
-    return ToricVariety(new_fan, name=name or (X.name or "X") + "+blowup")
+    return ToricVariety(new_fan)
 
 
 # -- contraction ------------------------------------------------------
@@ -128,24 +125,15 @@ def contracted_fan(X: ToricVariety, ray_index: int, center: Sequence[int]) -> Fa
     return _refanned_star(fan, ray_index, tuple(sorted(center)))
 
 
-def contracted_model(
-    X: ToricVariety,
-    fan: Fan,
-    ray_index: int,
-    *,
-    allow_singular: bool = False,
-    name: Optional[str] = None,
-) -> ToricVariety:
+def contracted_model(fan: Fan, ray_index: int, *, allow_singular: bool = False) -> ToricVariety:
     """The variety of ``contracted_fan(X, ray_index, ...)``, refused
     when singular unless ``allow_singular``."""
     try:
-        Y = ToricVariety(fan, allow_singular=True, name=name)
+        Y = ToricVariety(fan, allow_singular=True)
     except ValidationError as e:
         raise SurgeryError(str(e)) from None
     if not Y.is_smooth and not allow_singular:
         raise SurgeryError(f"contracting ray {ray_index} leaves the smooth toric category")
-    if name is None:
-        Y.name = (X.name or "X") + ("-contract" if Y.is_smooth else "-contract(singular)")
     return Y
 
 
@@ -155,7 +143,6 @@ def contract(
     center: Sequence[int],
     *,
     allow_singular: bool = False,
-    name: Optional[str] = None,
 ) -> ToricVariety:
     """Inverse star subdivision: remove the ray, re-fan its star over the
     contraction center.
@@ -170,7 +157,7 @@ def contract(
     holds the target's model skips the build.
     """
     fan = contracted_fan(X, ray_index, center)
-    return contracted_model(X, fan, ray_index, allow_singular=allow_singular, name=name)
+    return contracted_model(fan, ray_index, allow_singular=allow_singular)
 
 
 # -- flips ------------------------------------------------------------
@@ -226,9 +213,8 @@ def flipped_fan(
     X: ToricVariety, curve: Union[CurveClass, Sequence[int]]
 ) -> tuple[Fan, list[FlipCircuit]]:
     """Bistellar exchange on every circuit of a small extremal class, on
-    the fan alone.  The exchange replaces the cones of each circuit and
-    keeps every other maximal cone, so the new fan carries X's dual
-    basis of each kept cone (``Fan.carried_bases``)."""
+    the fan alone: the cones of each circuit are replaced, every other
+    maximal cone and every ray is kept."""
     circuits = flip_circuits(X, curve)
     cones = set(X.fan.max_cones)
     for circ in circuits:
@@ -244,41 +230,16 @@ def flipped_fan(
                 f"fan does not contain the cones {missing} of circuit {list(circ.support)}"
             )
         cones = (cones - old) | new
-    bases = X.report.dual_bases
-    carried = {c: bases[c] for c in cones if c in bases}
-    return Fan(X.dim, X.fan.rays, tuple(sorted(cones)), carried_bases=carried), circuits
-
-
-def flipped_model(X: ToricVariety, fan: Fan, name: Optional[str] = None) -> ToricVariety:
-    """The variety of a fan that ``flipped_fan`` made from X.
-
-    A flip keeps the rays, so the model shares X's relation lattice
-    (``curve_basis``) and its section, and takes X's wall on every ridge
-    whose two maximal cones the flip kept; its validation reads the
-    carried dual bases.  A fan with other rays is built from nothing.
-    """
-    Y = ToricVariety(fan, name=name or (X.name or "X") + "+flip")
-    if fan.rays == X.fan.rays:
-        Y.__dict__.update(curve_basis=X.curve_basis, _section=X._section)
-        cones = set(fan.max_cones)
-        Y._kept_walls = {
-            w.shared: w
-            for w in X.walls
-            if tuple(sorted((*w.shared, w.left))) in cones
-            and tuple(sorted((*w.shared, w.right))) in cones
-        }
-    return Y
+    return Fan(X.dim, X.fan.rays, tuple(sorted(cones))), circuits
 
 
 def flip(
-    X: ToricVariety,
-    curve: Union[CurveClass, Sequence[int]],
-    name: Optional[str] = None,
+    X: ToricVariety, curve: Union[CurveClass, Sequence[int]]
 ) -> tuple[ToricVariety, list[FlipCircuit]]:
     """Bistellar exchange on every circuit of a small extremal class:
-    ``flipped_fan``, then ``flipped_model``."""
+    ``flipped_fan``, then the model built with X as its source."""
     fan, circuits = flipped_fan(X, curve)
-    return flipped_model(X, fan, name), circuits
+    return ToricVariety(fan, source=X), circuits
 
 
 # -- extremal rays and contraction types -------------------------------
@@ -340,14 +301,16 @@ def divisor_link_fan(X: ToricVariety, ray_index: int) -> Fan:
 
 
 def looks_like_quadric_cone(fan3: Fan) -> bool:
-    """Shape test for (a simplicial subdivision of) the projective cone
-    over a smooth 2-dimensional quadric: exactly five rays, four of
-    which, say a, b, c, d, satisfy a + b = c + d and support the
-    doubled vertex chart, all other cones unimodular.
+    """Shape test on the rays of a 3-dimensional fan: exactly five rays,
+    four of which, say a, b, c, d, satisfy a + b = c + d, as the rays of
+    (a simplicial subdivision of) the projective cone over a smooth
+    quadric surface do.
 
-    No smooth 4-fold fan produces this link (orbit closures of smooth
-    toric varieties are smooth), so on validated input the test is a
-    certificate that can only fail; it is exercised directly in tests.
+    The cones are not read, so smooth fans pass too: on the smooth
+    X = P_{P1}(O + O(1) + O(1)) x P1 the links of the divisors of rays 5
+    and 6 both pass.  So the label ``(3,0)^Q`` says, on toric input,
+    only that the link of the contracted divisor has the rays of a
+    quadric cone.
     """
     if fan3.dim != 3 or fan3.n_rays != 5:
         return False

@@ -23,17 +23,18 @@ On a smooth fan the g_i are integers, so the sum is taken over one
 integer common denominator; a non-integral anticanonical result is an
 engine bug, not a property of the input.
 
-A model built by a flip (``surgery.flipped_model``) starts with what
-the flip kept from its source: the relation lattice basis and its
-section (the rays are the same), and the source's walls on ridges
-whose two maximal cones the flip kept (``_kept_walls``, dropped once
-the model's own walls exist, so models do not chain).  Its validation
-reads the dual bases its fan carries for the kept cones.
+A model built with a ``source`` on the same rays, such as a flip of it,
+starts with what it shares with the source: the dual bases of the
+maximal cones both fans hold (carried on the fan to validation, which
+checks each), the relation lattice basis and its section, and the
+source's walls on ridges whose two maximal cones both fans hold.  The
+model holds its source only until its own walls exist, so models do
+not chain.  A source with other rays is ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -144,7 +145,13 @@ class Wall:
 
 
 class ToricVariety:
-    """A validated fan plus its cached numerical invariants."""
+    """A validated fan plus its cached numerical invariants.
+
+    ``source`` is a variety whose fan has the same rays, such as the one
+    this fan was flipped from; the new variety reuses what the two fans
+    share (see the module docstring).  A source with other rays is
+    ignored.
+    """
 
     def __init__(
         self,
@@ -152,9 +159,22 @@ class ToricVariety:
         *,
         allow_singular: bool = False,
         name: Optional[str] = None,
+        source: Optional["ToricVariety"] = None,
     ):
+        if source is not None and source.fan.rays != fan.rays:
+            source = None
+        if source is not None:
+            bases = source.report.dual_bases
+            carried = {c: bases[c] for c in fan.max_cones if c in bases}
+            fan = replace(fan, carried_bases=carried)
+            # The relation lattice depends on the rays alone; take what the
+            # source has computed (a singular source may have no section).
+            for key in ("curve_basis", "_section"):
+                if key in source.__dict__:
+                    self.__dict__[key] = source.__dict__[key]
         self.fan = fan
         self.name = name
+        self._source = source  # read and dropped by ``walls``
         self.report: ValidationReport = validated(fan, allow_singular=allow_singular)
         self.is_smooth = all(
             c.passed for c in self.report.checks if c.name == "smoothness"
@@ -164,7 +184,6 @@ class ToricVariety:
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
         self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
         self._models: Optional[dict[Fan, ToricVariety]] = None  # kept by mori._models
-        self._kept_walls: Optional[dict[tuple[int, ...], Wall]] = None  # kept by surgery.flipped_model
 
     # -- class group -------------------------------------------------
 
@@ -249,13 +268,6 @@ class ToricVariety:
 
     # -- walls ---------------------------------------------------------
 
-    @property
-    def _cone_normals(self) -> dict[tuple[int, ...], list[IntVec]]:
-        """Per maximal cone, the primitive inward facet normals, one per
-        ray, as validation computed them; on a smooth fan they are the
-        dual basis g_i."""
-        return self.report.dual_bases
-
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
         """One wall per codimension-one cone shared by two maximal cones,
@@ -274,15 +286,29 @@ class ToricVariety:
         s_a (the relation lattice is saturated, so an integer relation r
         is sum_a (r . s_a) k_a).
 
-        On a model built by a flip, a ridge whose two maximal cones the
-        flip kept takes the source's wall (``_kept_walls``): the rays,
-        the two cones' dual bases and the section are the source's, so
-        the wall is too.  The slot is dropped here, so a model holds no
-        walls of its source once its own exist.
+        Per maximal cone, ``report.dual_bases`` holds the primitive
+        inward facet normals, one per ray; on a smooth fan they are the
+        dual basis g_i.
+
+        On a model built with a source, a ridge whose two maximal cones
+        both fans hold takes the source's wall: the rays, the two cones'
+        dual bases and the section are the source's, so the wall is too
+        when both fans are smooth or both are not.  The source is
+        dropped here, so a model holds none of it once its own walls
+        exist.
         """
-        kept, self._kept_walls = self._kept_walls or {}, None
+        source, self._source = self._source, None
+        kept = {}
+        if source is not None and source.is_smooth == self.is_smooth:
+            cones = set(self.fan.max_cones)
+            kept = {
+                w.shared: w
+                for w in source.walls
+                if tuple(sorted((*w.shared, w.left))) in cones
+                and tuple(sorted((*w.shared, w.right))) in cones
+            }
         rays = self.fan.rays
-        bases = self._cone_normals
+        bases = self.report.dual_bases
         section_rows = list(zip(*self._section)) if self.is_smooth else None
         out = []
         for facet, cones in sorted(self.report.facets.items()):
@@ -357,7 +383,7 @@ class ToricVariety:
         is a balanced base-B expansion of a nonzero g_i and never 0; L is
         the lcm of the e4(w).  Requires a smooth fan.
         """
-        normals = self._cone_normals
+        normals = self.report.dual_bases
         base = 2 * max(abs(x) for rows in normals.values() for g in rows for x in g) + 1
         xi = [base**t for t in range(self.dim)]
         weights = [(c, tuple(sum(map(mul, g, xi)) for g in rows)) for c, rows in normals.items()]

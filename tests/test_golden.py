@@ -28,6 +28,7 @@ import pytest
 
 from toricfano.cli import main
 from toricfano.library import builtin, builtin_names
+from toricfano.surgery import extremal_rays
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 COMMANDS = ("info", "cones", "delta", "fixed", "chambers")
@@ -71,6 +72,15 @@ def _contract_cases() -> list[str]:
     ]
 
 
+def _flip_cases() -> list[str]:
+    return [
+        f"flip {n} --class {','.join(map(str, c.coords))}"
+        for n in sorted(builtin_names())
+        for c, d in extremal_rays(builtin(n))
+        if d.kind == "small" and d.flippable
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -78,7 +88,7 @@ def golden() -> dict:
 
 def test_golden_covers_every_builtin(golden):
     assert sorted(golden) == sorted(
-        [f"{c} {n}" for c, n in _cases()] + _mmp_cases() + _contract_cases()
+        [f"{c} {n}" for c, n in _cases()] + _mmp_cases() + _contract_cases() + _flip_cases()
     )
 
 
@@ -97,11 +107,18 @@ def test_contract_json_output_is_byte_identical(golden, case):
     assert render_in_fresh_cwd(case.split()) == golden[case]
 
 
+@pytest.mark.parametrize("case", _flip_cases())
+def test_flip_json_output_is_byte_identical(golden, case):
+    assert render_in_fresh_cwd(case.split()) == golden[case]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {f"{c} {n}": render([c, n], tmp) for c, n in _cases()}
         record.update((case, render(case.split(), tmp)) for case in _mmp_cases())
-    record.update((case, render_in_fresh_cwd(case.split())) for case in _contract_cases())
+    record.update(
+        (case, render_in_fresh_cwd(case.split())) for case in _contract_cases() + _flip_cases()
+    )
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record)} outputs to {GOLDEN}", file=sys.stderr)

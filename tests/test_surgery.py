@@ -37,7 +37,6 @@ from toricfano.surgery import (
     flip,
     flip_circuits,
     flipped_fan,
-    flipped_model,
     looks_like_quadric_cone,
     ne_cone,
 )
@@ -274,6 +273,21 @@ def test_quadric_cone_shape_recognizer():
     fan3 = Fan.make(3, rays, cones)
     assert looks_like_quadric_cone(fan3)
     assert not looks_like_quadric_cone(divisor_link_fan(bl_pt_p4(), 5))
+
+
+def test_quadric_cone_shape_reads_the_rays_alone():
+    # X = P_{P1}(O + O(1) + O(1)) x P1 is smooth, so the links of its
+    # divisors are smooth, yet two of them have the rays of a quadric cone.
+    from toricfano.library import product_fan, projective_space_fan, split_bundle_fan
+
+    X = ToricVariety(
+        product_fan(split_bundle_fan(projective_space_fan(1), [[1, 0], [1, 0]]), projective_space_fan(1))
+    )
+    assert X.is_smooth
+    passing = [r for r in range(X.n_rays) if looks_like_quadric_cone(divisor_link_fan(X, r))]
+    assert passing == [5, 6]
+    for r in passing:
+        assert ToricVariety(divisor_link_fan(X, r)).is_smooth
 
 
 def test_blowup_all_centers_validate():
@@ -581,7 +595,7 @@ def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
     assert three_one == [[-2, 1, 1, 1]] * 3
 
 
-# -- flipped models inherit what the flip kept --------------------------
+# -- a model built with a source reuses what the two fans share ----------
 
 
 def _fresh(fan):
@@ -598,12 +612,13 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
     start = blowup(builtin("R3"), (0, 6)).fan if name == "R3_06" else builtin(name).fan
     built = []
 
-    def recording(X, fan):
-        Y = flipped_model(X, fan)
-        built.append((X, Y))
+    def recording(fan, **kwargs):
+        Y = ToricVariety(fan, **kwargs)
+        if kwargs.get("source") is not None:
+            built.append((kwargs["source"], Y))
         return Y
 
-    monkeypatch.setattr(mori, "flipped_model", recording)
+    monkeypatch.setattr(mori, "ToricVariety", recording)
     X = _fresh(start)
     mori_chambers(X)
     classified_fixed_divisors(X)
@@ -611,7 +626,7 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
     for source, Y in built:
         assert Y.fan.carried_bases and Y.curve_basis is source.curve_basis
         walls = Y.walls
-        assert Y._kept_walls is None  # dropped once the walls exist
+        assert Y._source is None  # dropped once the walls exist
         reused += sum(any(w is v for v in source.walls) for w in walls)
         fresh = _fresh(Y.fan)
         assert Y.report.checks == fresh.report.checks and Y.report.ok
@@ -638,6 +653,8 @@ def test_a_corrupted_carried_basis_gives_the_report_of_a_fresh_build():
     X = d3()
     (c,) = [c for c, d in extremal_rays(X) if d.kind == "small"]
     fan, _ = flipped_fan(X, c)
+    assert fan.carried_bases is None  # the exchange alone carries nothing
+    fan = ToricVariety(fan, source=X).fan
     carried = fan.carried_bases
     assert set(carried) < set(fan.max_cones)  # the new cones carry nothing
     cone, other = sorted(carried)[:2]
@@ -657,6 +674,58 @@ def test_a_corrupted_carried_basis_gives_the_report_of_a_fresh_build():
     for k, ray in ((0, tuple(-x for x in fan.rays[0])), (1, tuple(map(sum, zip(*fan.rays[:3]))))):
         rays = fan.rays[:k] + (ray,) + fan.rays[k + 1:]
         assert not _same_report(Fan(fan.dim, rays, fan.max_cones, carried_bases=carried)).ok
+
+
+def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_nothing(monkeypatch):
+    from toricfano import fan as fan_module
+
+    X = ToricVariety(d3().fan)
+    walls = X.walls
+    validate.cache_clear()
+    calls = []
+    eliminate = fan_module.dual_basis
+
+    def counted(m):
+        calls.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(fan_module, "dual_basis", counted)
+    Y = ToricVariety(X.fan, source=X)
+    assert Y.report.ok and calls == []
+    assert len(Y.walls) == len(walls) and all(w is v for w, v in zip(Y.walls, walls))
+    assert Y.curve_basis is X.curve_basis and Y._section is X._section
+    assert Y._source is None
+
+
+def test_a_source_with_other_rays_is_ignored():
+    X = d3()
+    Y = blowup(X, X.fan.max_cones[0][:2])
+    validate.cache_clear()
+    model = ToricVariety(Y.fan, source=X)
+    assert model.fan.carried_bases is None and model._source is None
+    fresh = _fresh(Y.fan)
+    assert model.report.checks == fresh.report.checks
+    assert list(model.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
+    assert model.walls == fresh.walls
+    assert model.curve_basis == fresh.curve_basis and model._section == fresh._section
+    assert model.ledger_state() == fresh.ledger_state()
+
+
+def test_a_source_that_differs_in_smoothness_lends_no_walls():
+    # P(O + O(1) + O(2)) over P1, and a singular fan on its rays that
+    # keeps four of its six cones: the walls between kept cones have a
+    # curve class on the smooth fan and none on the singular one.
+    from toricfano.library import projective_space_fan, split_bundle_fan
+
+    smooth = ToricVariety(split_bundle_fan(projective_space_fan(1), [[1, 0], [2, 0]]))
+    cones = [[0, 2, 3], [0, 2, 4], [0, 3, 4], [1, 2, 3], [1, 2, 4], [1, 3, 4]]
+    singular = ToricVariety(Fan.make(3, smooth.fan.rays, cones), allow_singular=True)
+    assert not singular.is_smooth and len(set(smooth.fan.max_cones) & set(singular.fan.max_cones)) == 4
+    for source, target in ((smooth, singular), (singular, smooth)):
+        source.walls
+        model = ToricVariety(target.fan, allow_singular=True, source=source)
+        assert model.fan.carried_bases and model.is_smooth == target.is_smooth
+        assert model.walls == target.walls
 
 
 _COUNTS = """
