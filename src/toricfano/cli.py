@@ -202,9 +202,10 @@ def _result_name(args, move: str) -> str:
 def _surgery_report(
     session: Session, args, X: ToricVariety, Y: ToricVariety, move: str, new_name: str, data: dict
 ) -> int:
-    out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
+    # The ledgers come first: a fan they refuse is not registered.
     lb = X.ledger_state() if X.is_smooth else None
     la = Y.ledger_state() if Y.is_smooth else None
+    out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
     report = {
         "move": move,
         "input": args.name,
@@ -534,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     _global_flags(p, suppress=True)
     p.add_argument("name")
     p.add_argument("--class", dest="curve_class", required=True,
-                   help="curve class coordinates, e.g. 1,-1,0")
+                   help="curve class coordinates, e.g. 1,-1,0;"
+                   " a negative first entry needs '=', as in --class=-1,0,0")
     p.add_argument("--as", dest="as_name", default=None)
     p.set_defaults(func=cmd_flip)
 
@@ -542,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     _global_flags(p, suppress=True)
     p.add_argument("name")
     p.add_argument("--divisor", required=True,
-                   help="ray index, coefficient vector, or 'minusK'")
+                   help="ray index, coefficient vector, or 'minusK';"
+                   " a negative first entry needs '=', as in --divisor=-1,0,...")
     p.set_defaults(func=cmd_mmp)
 
     p = sub.add_parser("fixed", help="fixed prime divisors with types")

@@ -168,19 +168,6 @@ class RationalCone:
         return RationalCone(ambient_dim, tuple(gens), tuple(normals))
 
     @staticmethod
-    def from_inequalities(
-        normals: Sequence[Sequence], ambient_dim: Optional[int] = None
-    ) -> "RationalCone":
-        vecs = [primitive_vector(v) for v in normals if any(x != 0 for x in v)]
-        if ambient_dim is None:
-            if not vecs:
-                raise ValueError("ambient dimension required for the full cone")
-            ambient_dim = len(vecs[0])
-        gens = dual_extreme_rays(vecs, ambient_dim)
-        norms = dual_extreme_rays(gens, ambient_dim)
-        return RationalCone(ambient_dim, tuple(gens), tuple(norms))
-
-    @staticmethod
     def zero(ambient_dim: int) -> "RationalCone":
         return RationalCone.from_generators([], ambient_dim)
 

@@ -193,7 +193,9 @@ def fan_from_json(text: str) -> Fan:
                 raise ValidationError(f"label key {key!r} is not a ray index") from None
             if idx < 0 or idx >= len(rays):
                 raise ValidationError(f"label key {key!r} out of range")
-            labels[idx] = str(val)
+            if not isinstance(val, str):
+                raise ValidationError(f"label {key!r} must be a string")
+            labels[idx] = val
     return Fan.make(dim, rays, cones, labels)
 
 

@@ -145,7 +145,6 @@ def plane_blowup_tower_base() -> ToricVariety:
 
 @dataclass(frozen=True)
 class TowerResult:
-    base: ToricVariety
     points: tuple[tuple[int, ...], tuple[int, ...]]
     blown_up: ToricVariety
     flip_classes: tuple[tuple[int, ...], ...]
@@ -190,7 +189,6 @@ def two_point_tower(
     x2 = blowup(x1, sigma2)
     fano, classes = flips_to_fano(x2, max_flips=max_flips)
     return TowerResult(
-        base=base,
         points=(tuple(sigma1), tuple(sigma2)),
         blown_up=x2,
         flip_classes=tuple(tuple(c) for c in classes),

@@ -19,10 +19,11 @@ variety (``_models``).  A step computes the target's fan first
 only for a fan the registry does not hold, a flipped one with the model
 it was flipped from as its source; a flip or contraction onto a
 fan that another branch or walk already reached continues on that
-model, with its walls, cone of curves, extremal rays and ledger.
-Typing the fixed divisors of R3 takes 21 steps onto 12 distinct fans
-and builds 12 models, so walls are computed on 13 models, the start
-included.
+model, with its walls, cone of curves and extremal rays.  Typing the
+fixed divisors of R3 takes 21 steps onto 12 distinct fans and builds 12
+models; walls are computed on 7, the start and the 6 flipped models a
+walk goes on from, and not on the 6 contraction targets, where the walks
+end.
 
 Cone suite.  Built once per variety.  Its dualities are checked
 against the inputs (wall classes against Nef, ray classes against the
@@ -63,7 +64,6 @@ from typing import Optional, Sequence, Union
 from .cones import RationalCone, dual_extreme_rays
 from .fan import Fan
 from .lattice import det_int, dot, dual_basis, primitive_vector, rational_rank
-from .ledger import LedgerState
 from .surgery import (
     ContractionDescriptor,
     SurgeryError,
@@ -156,7 +156,8 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
         if len(carriers) == 1:
             others = [c for j, c in enumerate(classes) if j != carriers[0]]
             extra += dual_extreme_rays(others, X.rho)
-    mov = RationalCone.from_inequalities(list(eff.facet_normals) + extra, X.rho) if extra else eff
+    normals = list(eff.facet_normals) + extra
+    mov = RationalCone.from_generators(normals, X.rho).dual() if extra else eff
     for small, big, names in ((nef, mov, "Nef <= Mov"), (mov, eff, "Mov <= Eff")):
         if not big.contains_cone(small):
             raise InternalCheckError(
@@ -174,13 +175,8 @@ class TraceStep:
     move: str  # "flip" | "contraction"
     curve_class: CurveClass
     descriptor: ContractionDescriptor
-    fan_before: Fan
     fan_after: Fan
-    ledger_before: Optional[LedgerState]
-    ledger_after: Optional[LedgerState]
-    divisor_before: IntVec
-    divisor_after: IntVec
-    circuit_count: int = 0
+    circuit_count: int
 
 
 @dataclass(frozen=True)
@@ -213,12 +209,6 @@ def _divisor_vector(X: ToricVariety, divisor: Union[int, Sequence]) -> tuple:
     return vec
 
 
-def _safe_ledger(X: ToricVariety) -> Optional[LedgerState]:
-    if not X.is_smooth:
-        return None
-    return X.ledger_state()
-
-
 def _negative_candidates(X: ToricVariety, vec) -> list[tuple]:
     """D-negative extremal rays sorted by the default policy: most
     negative pairing first, ties by smallest wall index."""
@@ -235,7 +225,7 @@ def _negative_candidates(X: ToricVariety, vec) -> list[tuple]:
 def _models(X: ToricVariety) -> dict[Fan, ToricVariety]:
     """The models the MMP walks started from X have built, keyed by fan:
     kept on X, so every walk from X reuses each model with its walls,
-    cone of curves, extremal rays and ledger.  X itself is left out (no
+    cone of curves and extremal rays.  X itself is left out (no
     walk returns to it), so the registry holds no cycle back to X."""
     if X._models is None:
         X._models = {}
@@ -258,7 +248,7 @@ def _apply_step(
         X2 = models.get(fan2)
         if X2 is None:
             X2 = models[fan2] = ToricVariety(fan2, source=X)
-        move, vec2, circuit_count = "flip", tuple(vec), len(circuits)
+        move, vec2, circuit_count = "flip", vec, len(circuits)
     elif desc.kind == "divisorial":
         r = desc.exc_rays[0]
         fan2 = contracted_fan(X, r, desc.center)
@@ -276,16 +266,7 @@ def _apply_step(
     else:
         raise MoriError("fiber-type ray cannot be executed as a birational step")
     step = TraceStep(
-        move=move,
-        curve_class=c,
-        descriptor=desc,
-        fan_before=X.fan,
-        fan_after=X2.fan,
-        ledger_before=_safe_ledger(X),
-        ledger_after=_safe_ledger(X2),
-        divisor_before=tuple(vec),
-        divisor_after=vec2,
-        circuit_count=circuit_count,
+        move=move, curve_class=c, descriptor=desc, fan_after=X2.fan, circuit_count=circuit_count
     )
     return step, X2, vec2
 

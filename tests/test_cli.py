@@ -87,6 +87,17 @@ def test_validate_rejects_non_object_labels(capsys, registry, tmp_path, labels):
     assert "'labels' must be an object" in out + err
 
 
+@pytest.mark.parametrize("value", [None, 5, [1], {}])
+def test_fan_file_label_must_be_a_string(capsys, registry, tmp_path, value):
+    obj = json.loads(fan_to_json(p4().fan))
+    obj["labels"] = {"0": value}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "--registry", registry, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: label '0' must be a string\n"
+
+
 def test_blowup_then_info_from_registry(capsys, registry):
     code, out, _ = run(
         capsys, "--registry", registry, "blowup", "P4", "--center", "0,1,2,3", "--as", "B"
@@ -302,6 +313,27 @@ def test_blowup_center_that_repeats_a_ray_is_input_error(capsys, registry):
     assert code == 2 and out == ""
     assert err == "error: center [0, 0, 1] repeats ray 0\n"
     assert not Path(registry, "P4_blowup.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [[1, 0], [0, 1], [-1, -1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    ],
+)
+def test_blowup_of_a_fan_without_a_ledger_registers_nothing(capsys, registry, tmp_path, rays):
+    # Projective space of dimension 2 or 3: the blow-up exists, but its
+    # ledger needs a 4-fold, so the command fails before registering.
+    dim = len(rays[0])
+    cones = [[i for i in range(dim + 1) if i != j] for j in range(dim + 1)]
+    path = tmp_path / "pn.json"
+    path.write_text(json.dumps({"dim": dim, "rays": rays, "max_cones": cones}))
+    center = ",".join(str(i) for i in range(dim))
+    code, out, err = run(capsys, "--registry", registry, "blowup", str(path), "--center", center)
+    assert code == 2 and out == ""
+    assert err == "error: intersection numbers are implemented for 4-folds\n"
+    assert not Path(registry).exists() or not any(Path(registry).iterdir())
 
 
 def test_register_into_a_missing_subdirectory_is_input_error(tmp_path):

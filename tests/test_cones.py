@@ -24,7 +24,8 @@ def _lineality_dim(c):
 def _intersect(a, b):
     """Test-only reference: the intersection of two cones, by double
     description of their joint inequalities."""
-    return RationalCone.from_inequalities(list(a.facet_normals) + list(b.facet_normals), a.ambient_dim)
+    normals = list(a.facet_normals) + list(b.facet_normals)
+    return RationalCone.from_generators(normals, a.ambient_dim).dual()
 
 
 def brute_force_facets(gens, dim):

@@ -9,6 +9,7 @@ import pytest
 import toricfano
 from toricfano.cones import RationalCone, dual_extreme_rays
 from toricfano.lattice import det_int, dot, primitive_vector
+from toricfano.ledger import apply_point_blowup
 from toricfano.library import (
     bl_pt_p4,
     builtin,
@@ -166,11 +167,11 @@ def _count_walls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name,count", [("R3", 13), ("D3", 4), ("B511", 3), ("Y_tower", 3)])
+@pytest.mark.parametrize("name,count", [("R3", 7), ("D3", 2), ("B511", 1), ("Y_tower", 1)])
 def test_mmp_walks_from_one_variety_build_each_fan_once(monkeypatch, name, count):
-    # Every smooth model the fixed-divisor walks reach, the start
-    # included, computes its walls once.  D3's walks also reach a
-    # singular contraction target, where the walk ends without walls.
+    # Every model a fixed-divisor walk goes on from, the start and the
+    # flipped models, computes its walls once.  The contraction targets,
+    # where each walk ends, compute none.
     calls = _count_walls(monkeypatch)
     X = ToricVariety(builtin(name).fan)
     reports = classified_fixed_divisors(X)
@@ -189,11 +190,51 @@ def test_default_mmp_reuses_the_models_of_the_exhaustive_walk(monkeypatch):
         mmp_for_divisor(X, r)
     for r in rays:
         mmp_all_for_divisor(X, r)
-    assert len(calls) == len(set(calls)) == 13
+    assert len(calls) == len(set(calls)) == 7
     calls.clear()
     for r in rays:
         mmp_for_divisor(X, r)
     assert calls == []
+
+
+def test_mmp_steps_keep_the_ledger_rules():
+    # The ledger identities of the steps the fixed-divisor walks take, on
+    # the models the walks built: a flip keeps chi(-K) and rho and moves
+    # (-K)^4 by its circuit count (down when every circuit flips planes
+    # away, as in criterion 9), and a smooth point blow-down is undone
+    # by the point blow-up rule.
+    flips = point_blowdowns = 0
+    for name in builtin_names():
+        X = ToricVariety(builtin(name).fan)
+        for rep in fixed_prime_divisors(X):
+            for trace in mmp_all_for_divisor(X, rep.ray_index):
+                before = X
+                for step in trace.steps:
+                    after = X._models[step.fan_after]
+                    lb = before.ledger_state()
+                    if step.move == "flip":
+                        _, circuits = flipped_fan(before, step.curve_class)
+                        s = step.circuit_count
+                        assert s == len(circuits) > 0
+                        la = after.ledger_state()
+                        assert (la.chi_minusK, la.rho) == (lb.chi_minusK, lb.rho)
+                        planes_side = all(len(c.positive) == 3 for c in circuits)
+                        assert la.degK4 - lb.degK4 == (-s if planes_side else s)
+                        flips += 1
+                    elif step.descriptor.type_label == "(3,0)^sm":
+                        assert apply_point_blowup(after.ledger_state()).as_tuple() == lb.as_tuple()
+                        point_blowdowns += 1
+                    before = after
+    assert (flips, point_blowdowns) == (8, 4)
+
+
+def test_typing_the_fixed_divisors_computes_no_ledger(monkeypatch):
+    def refuse(X):
+        raise AssertionError(f"ledger computed on fan {X.fan.content_hash()}")
+
+    monkeypatch.setattr(ToricVariety, "ledger_state", refuse)
+    reports = classified_fixed_divisors(ToricVariety(builtin("R3").fan))
+    assert len(reports) == 6 and all(r.type_label for r in reports)
 
 
 def test_lefschetz_defects():

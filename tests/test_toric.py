@@ -95,7 +95,7 @@ def _reference_pair_meets_in_common_face(fan, c1, c2, normals):
             if j not in shared
         ):
             return True
-    inter = RationalCone.from_inequalities(list(normals[c1]) + list(normals[c2]), fan.dim)
+    inter = RationalCone.from_generators(list(normals[c1]) + list(normals[c2]), fan.dim).dual()
     expected = RationalCone.from_generators([fan.rays[i] for i in shared], fan.dim)
     return inter == expected
 
