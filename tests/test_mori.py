@@ -167,15 +167,24 @@ def _count_walls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name,count", [("R3", 7), ("D3", 2), ("B511", 1), ("Y_tower", 1)])
-def test_mmp_walks_from_one_variety_build_each_fan_once(monkeypatch, name, count):
-    # Every model a fixed-divisor walk goes on from, the start and the
-    # flipped models, computes its walls once.  The contraction targets,
-    # where each walk ends, compute none.
+_WALKED = [("R3", 13, 7), ("D3", 4, 2), ("B511", 3, 1), ("Y_tower", 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "name,smooth,walled", _WALKED, ids=[f"{name}-{smooth}" for name, smooth, _ in _WALKED]
+)
+def test_mmp_walks_from_one_variety_build_each_fan_once(monkeypatch, name, smooth, walled):
+    # The fixed-divisor walks reach `smooth` smooth models, the start
+    # included; D3's also reach a singular contraction target.  Every
+    # model a walk goes on from, the start and the flipped models,
+    # computes its walls once.  The contraction targets, where each walk
+    # ends, compute none.
     calls = _count_walls(monkeypatch)
     X = ToricVariety(builtin(name).fan)
     reports = classified_fixed_divisors(X)
-    assert len(calls) == len(set(calls)) == count
+    models = {X.fan: X, **X._models}
+    assert sum(m.is_smooth for m in models.values()) == smooth
+    assert len(calls) == len(set(calls)) == walled
     calls.clear()
     for rep in reports:
         assert mmp_all_for_divisor(X, rep.ray_index) == mmp_all_for_divisor(X, rep.ray_index)

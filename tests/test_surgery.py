@@ -735,7 +735,7 @@ from toricfano.fan import Fan
 from toricfano.library import builtin
 from toricfano.variety import ToricVariety
 
-counts = {"models": 0, "dual_basis": 0, "walls": 0}
+counts = {"models": 0, "dual_basis": 0, "smooth": 0, "walls": 0}
 init, eliminate = ToricVariety.__init__, lattice.dual_basis
 walls = ToricVariety.__dict__["walls"]
 wall_func = walls.func
@@ -743,6 +743,7 @@ wall_func = walls.func
 def counted_init(self, *args, **kwargs):
     counts["models"] += 1
     init(self, *args, **kwargs)
+    counts["smooth"] += self.is_smooth
 
 def counted_dual_basis(m):
     counts["dual_basis"] += 1
@@ -765,25 +766,27 @@ if walk == "chambers":
     mori.mori_chambers(X)
 else:
     mori.classified_fixed_divisors(X)
-print(counts["models"], counts["dual_basis"], counts["walls"])
+print(counts["models"], counts["dual_basis"], counts["smooth"], counts["walls"])
 """
+
+_WALKS = [
+    ("R3", "chambers", "9 85 9", 9),
+    ("R3", "fixed", "13 131 13", 7),
+    ("D3", "chambers", "2 33 2", 2),
+    ("D3", "fixed", "5 39 4", 2),
+]
 
 
 @pytest.mark.parametrize(
-    "name,walk,counts",
-    [
-        ("R3", "chambers", "9 85 9"),
-        ("R3", "fixed", "13 131 7"),
-        ("D3", "chambers", "2 33 2"),
-        ("D3", "fixed", "5 39 2"),
-    ],
+    "name,walk,counts,walls", _WALKS, ids=[f"{n}-{w}-{c}" for n, w, c, _ in _WALKS]
 )
-def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts):
-    # (models built, dual_basis eliminations, walls computed) on the
-    # builtin with its rays in reverse order; before flipped models
-    # inherited, these read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.
-    # Walls are computed only on the models a walk goes on from, so not
-    # on the contraction targets where the fixed-divisor walks end.
+def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, walls):
+    # (models built, dual_basis eliminations, smooth models built) and
+    # the walls computed, on the builtin with its rays in reverse order.
+    # Before flipped models inherited, models, eliminations and walls
+    # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.  Walls are computed
+    # only on the models a walk goes on from, so not on the contraction
+    # targets where the fixed-divisor walks end.
     src = str(Path(toricfano.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _COUNTS, name, walk],
@@ -793,4 +796,4 @@ def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == counts
+    assert done.stdout.split() == counts.split() + [str(walls)]
