@@ -191,12 +191,15 @@ def cmd_info(session: Session, args) -> int:
 def _result_name(args, move: str) -> str:
     """The registry name of a surgery result, checked before any surgery
     runs.  A fan given by path is named by its file name, so the result
-    lands in the registry rather than next to the input."""
-    if args.as_name is not None and (
-        Path(args.as_name).name != args.as_name or args.as_name in ("", "..")
-    ):
-        raise CliError(f"--as {args.as_name!r} is not a single path component")
-    return args.as_name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
+    lands in the registry rather than next to the input.  A name ending
+    in ``.json`` is refused: ``Session.resolve`` would read it as a path."""
+    name = args.as_name
+    if name is not None:
+        if Path(name).name != name or name in ("", ".."):
+            raise CliError(f"--as {name!r} is not a single path component")
+        if name.endswith(".json"):
+            raise CliError(f"--as {name!r} must not end in .json: it reads back as a path")
+    return name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
 
 
 def _surgery_report(
@@ -463,127 +466,89 @@ def _step_cap(text: str) -> int:
     return n
 
 
-def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # The same flags are accepted before and after the subcommand; the
-    # post-subcommand copies default to SUPPRESS so they never clobber
-    # values given up front.
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=d if suppress else False,
-        help="machine-readable output",
-    )
-    parser.add_argument(
-        "--registry",
-        default=d if suppress else "fans",
-        help="directory for registered fans (default: ./fans)",
-    )
-    parser.add_argument(
-        "--max-steps",
-        type=_step_cap,
-        default=d if suppress else 64,
-        metavar="N",
-        help="an MMP takes at most N steps (default 64)",
-    )
-    parser.add_argument(
-        "--exhaustive",
-        action="store_true",
-        default=d if suppress else False,
-        help="enumerate all MMP choice sequences",
-    )
+def _flags() -> argparse.ArgumentParser:
+    """The global flags, declared once and shared as a parent by the
+    top-level parser and every subcommand, so each is accepted before or
+    after the subcommand.  Every copy defaults to SUPPRESS: a flag left
+    out after the subcommand then leaves the value given before it, and
+    one given after it wins.  Their defaults live in the namespace
+    ``main`` parses into; set on a parser (``set_defaults`` writes them
+    onto the shared actions), the subcommand's copy would clobber a
+    value given before the subcommand."""
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", action="store_true", help="machine-readable output")
+    flags.add_argument("--registry", help="directory for registered fans (default: ./fans)")
+    flags.add_argument("--max-steps", type=_step_cap, metavar="N",
+                       help="an MMP takes at most N steps (default 64)")
+    flags.add_argument("--exhaustive", action="store_true",
+                       help="enumerate all MMP choice sequences")
+    return flags
+
+
+def _arg(*names: str, **kwargs):
+    return names, kwargs
+
+
+_NAME = _arg("name")
+_AS = _arg("--as", dest="as_name")
+
+# Each subcommand: its name, handler, help and its own arguments.
+_COMMANDS = (
+    ("validate", cmd_validate, "validate a fan JSON file", [_arg("path")]),
+    ("info", cmd_info, "summary: rho, Fano flag, ledger, delta", [_NAME]),
+    ("blowup", cmd_blowup, "blow up an invariant center", [
+        _NAME, _arg("--center", required=True, help="ray indices, e.g. 0,1,2,3"), _AS,
+    ]),
+    ("contract", cmd_contract,
+     "contract the divisorial extremal ray on a ray, smallest center first", [
+        _NAME,
+        _arg("--ray", type=int, required=True,
+             help="index of the ray whose divisor is contracted"),
+        _arg("--allow-singular", action="store_true"),
+        _AS,
+    ]),
+    ("flip", cmd_flip, "flip a small extremal curve class", [
+        _NAME,
+        _arg("--class", dest="curve_class", required=True,
+             help="curve class coordinates, e.g. 1,-1,0;"
+             " a negative first entry needs '=', as in --class=-1,0,0"),
+        _AS,
+    ]),
+    ("mmp", cmd_mmp, "run a divisor-directed MMP", [
+        _NAME,
+        _arg("--divisor", required=True,
+             help="ray index, coefficient vector, or 'minusK';"
+             " a negative first entry needs '=', as in --divisor=-1,0,..."),
+    ]),
+    ("fixed", cmd_fixed, "fixed prime divisors with types", [_NAME]),
+    ("chambers", cmd_chambers, "chamber decomposition of the movable cone", [_NAME]),
+    ("cones", cmd_cones, "Nef/Mov/Eff and curve-side duals", [_NAME]),
+    ("delta", cmd_delta, "Lefschetz defect and bound assertions", [_NAME]),
+    ("ledger", cmd_ledger, "run an invariant move script", [_arg("script")]),
+    ("replay", cmd_replay, "replay a worked example end to end",
+     [_arg("example", choices=sorted(REPLAYS))]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    flags = _flags()
     parser = argparse.ArgumentParser(
         prog="toricfano",
         description="Exact birational geometry of smooth toric Fano 4-folds.",
+        parents=[flags],
     )
-    _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a fan JSON file")
-    _global_flags(p, suppress=True)
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("info", help="summary: rho, Fano flag, ledger, delta")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("blowup", help="blow up an invariant center")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.add_argument("--center", required=True, help="ray indices, e.g. 0,1,2,3")
-    p.add_argument("--as", dest="as_name", default=None)
-    p.set_defaults(func=cmd_blowup)
-
-    p = sub.add_parser(
-        "contract",
-        help="contract the divisorial extremal ray on a ray, smallest center first",
-    )
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.add_argument("--ray", type=int, required=True,
-                   help="index of the ray whose divisor is contracted")
-    p.add_argument("--allow-singular", action="store_true")
-    p.add_argument("--as", dest="as_name", default=None)
-    p.set_defaults(func=cmd_contract)
-
-    p = sub.add_parser("flip", help="flip a small extremal curve class")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.add_argument("--class", dest="curve_class", required=True,
-                   help="curve class coordinates, e.g. 1,-1,0;"
-                   " a negative first entry needs '=', as in --class=-1,0,0")
-    p.add_argument("--as", dest="as_name", default=None)
-    p.set_defaults(func=cmd_flip)
-
-    p = sub.add_parser("mmp", help="run a divisor-directed MMP")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.add_argument("--divisor", required=True,
-                   help="ray index, coefficient vector, or 'minusK';"
-                   " a negative first entry needs '=', as in --divisor=-1,0,...")
-    p.set_defaults(func=cmd_mmp)
-
-    p = sub.add_parser("fixed", help="fixed prime divisors with types")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.set_defaults(func=cmd_fixed)
-
-    p = sub.add_parser("chambers", help="chamber decomposition of the movable cone")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.set_defaults(func=cmd_chambers)
-
-    p = sub.add_parser("cones", help="Nef/Mov/Eff and curve-side duals")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.set_defaults(func=cmd_cones)
-
-    p = sub.add_parser("delta", help="Lefschetz defect and bound assertions")
-    _global_flags(p, suppress=True)
-    p.add_argument("name")
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("ledger", help="run an invariant move script")
-    _global_flags(p, suppress=True)
-    p.add_argument("script")
-    p.set_defaults(func=cmd_ledger)
-
-    p = sub.add_parser("replay", help="replay a worked example end to end")
-    _global_flags(p, suppress=True)
-    p.add_argument("example", choices=sorted(REPLAYS))
-    p.set_defaults(func=cmd_replay)
-
+    for name, func, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, parents=[flags])
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(json=False, registry="fans", max_steps=64, exhaustive=False)
+    args = build_parser().parse_args(argv, defaults)
     session = Session(registry=Path(args.registry))
     try:
         return args.func(session, args)

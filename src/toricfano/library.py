@@ -8,12 +8,11 @@ they agree).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fan import Fan, fan_from_json
 from .mori import classified_fixed_divisors
@@ -223,13 +222,7 @@ def r3_tower_search() -> TowerResult:
     )
 
 
-def _builtin_data(name: str) -> Optional[str]:
-    path = resources.files("toricfano").joinpath(f"data/{name}.json")
-    if path.is_file():
-        return path.read_text()
-    return None
-
-
+# The constructions behind the frozen data files (R3's is ``r3_tower_search``).
 BUILTIN_BUILDERS = {
     "P4": p4,
     "P1xP3": p1xp3,
@@ -242,23 +235,22 @@ BUILTIN_BUILDERS = {
 }
 
 
-@lru_cache(maxsize=None)
-def builtin(name: str) -> ToricVariety:
-    """Load a builtin fan, preferring the frozen data file."""
-    data = _builtin_data(name)
-    if data is not None:
-        obj = json.loads(data)
-        return ToricVariety(fan_from_json(data), name=obj.get("name", name))
-    if name in BUILTIN_BUILDERS:
-        return BUILTIN_BUILDERS[name]()
-    raise KeyError(f"unknown builtin fan {name!r}")
+def _data_dir():
+    return resources.files("toricfano").joinpath("data")
 
 
 def builtin_names() -> list[str]:
-    names = set(BUILTIN_BUILDERS)
-    data_dir = resources.files("toricfano").joinpath("data")
-    if data_dir.is_dir():
-        for entry in data_dir.iterdir():
-            if entry.name.endswith(".json"):
-                names.add(entry.name[: -len(".json")])
-    return sorted(names)
+    """The stems of the frozen data files."""
+    return sorted(
+        entry.name.removesuffix(".json")
+        for entry in _data_dir().iterdir()
+        if entry.name.endswith(".json")
+    )
+
+
+@lru_cache(maxsize=None)
+def builtin(name: str) -> ToricVariety:
+    """Load a builtin fan from its frozen data file."""
+    if name not in builtin_names():
+        raise KeyError(f"unknown builtin fan {name!r}")
+    return ToricVariety(fan_from_json(_data_dir().joinpath(f"{name}.json").read_text()), name=name)

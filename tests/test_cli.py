@@ -231,6 +231,50 @@ def test_chambers_d3(capsys, registry):
     assert len(obj["edges"]) == 1
 
 
+def test_chambers_table_has_one_row_per_edge(capsys, registry):
+    code, out, _ = run(capsys, "--registry", registry, "--json", "chambers", "D3")
+    edges = json.loads(out)["edges"]
+    code, out, err = run(capsys, "--registry", registry, "chambers", "D3")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "chambers: 2"
+    assert lines[1].split() == ["from", "to", "flipped", "class"]
+    rows = lines[3:]
+    assert len(rows) == len(edges) == 1
+    for row, edge in zip(rows, edges):
+        assert row.split(None, 2) == [edge["from"], edge["to"], str(edge["flipped_class"])]
+
+
+def test_cones_text_lists_each_cone(capsys, registry):
+    code, out, _ = run(capsys, "--registry", registry, "--json", "cones", "P4")
+    obj = json.loads(out)
+    code, out, err = run(capsys, "--registry", registry, "cones", "P4")
+    assert code == 0 and err == ""
+    expected = []
+    for name in ("nef", "mov", "eff", "ne", "mov_curves"):
+        expected += [
+            f"{name}:",
+            f"  generators    {obj[name]['generators']}",
+            f"  facet normals {obj[name]['facet_normals']}",
+        ]
+    assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["validate", "info", "blowup", "contract", "flip", "mmp",
+     "fixed", "chambers", "cones", "delta", "ledger", "replay"],
+)
+def test_every_subcommand_help_lists_the_global_flags(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    out = capsys.readouterr()
+    assert e.value.code == 0 and out.err == ""
+    assert out.out.startswith(f"usage: toricfano {command} ")
+    for flag in ("--json", "--registry REGISTRY", "--max-steps N", "--exhaustive"):
+        assert flag in out.out
+
+
 def test_ledger_script(capsys, registry, tmp_path):
     script = tmp_path / "moves.txt"
     script.write_text("start P4\n" + "blowup point\n" * 8 + "flip dir=s2f s=36\n")
@@ -306,6 +350,65 @@ def test_a_refused_name_runs_no_surgery(capsys, registry, monkeypatch, argv):
     assert err == "error: --as 'a/b' is not a single path component\n"
     assert not Path(registry).exists() or not any(Path(registry).iterdir())
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "P4", "--center", "0,1,2,3"],
+        ["contract", "Bl_pt_P4", "--ray", "5"],
+        ["flip", "D3", "--class", "0,-1,0"],
+    ],
+)
+def test_an_as_name_ending_in_json_is_refused_before_surgery(
+    capsys, registry, monkeypatch, argv
+):
+    # Registered as x.json.json, it could not be read back: any name
+    # ending in .json resolves as a file path.
+    from toricfano import cli
+
+    def surgery(*args, **kwargs):
+        raise AssertionError("surgery ran before --as was checked")
+
+    for move in ("blowup", "contract", "flip", "extremal_rays"):
+        monkeypatch.setattr(cli, move, surgery)
+    code, out, err = run(capsys, "--registry", registry, *argv, "--as", "x.json")
+    assert code == 2 and out == ""
+    assert err == "error: --as 'x.json' must not end in .json: it reads back as a path\n"
+    assert not Path(registry).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["blowup", "P4", "--center", "a,b"],
+         "--center must be a comma-separated list of integers"),
+        (["mmp", "D3", "--divisor", "1,2"], "divisor vector must have 7 entries"),
+        (["mmp", "D3", "--divisor", "x"],
+         "divisor must be a ray index, a coefficient vector, or 'minusK'"),
+        (["mmp", "D3", "--divisor", "99"], "ray index 99 out of range"),
+        (["flip", "D3", "--class", "1,0"], "--class must have rho = 3 coordinates"),
+        (["ledger", "nofile.txt"], "no such file: nofile.txt"),
+    ],
+)
+def test_argument_errors_are_one_line_input_errors(
+    capsys, registry, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--registry", registry, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_mmp_of_a_divisor_vector_can_end_fiber_type(capsys, registry):
+    # -D_0 on P4 is negative on its only extremal ray, the contraction to
+    # a point.
+    code, out, err = run(
+        capsys, "--registry", registry, "--json", "mmp", "P4", "--divisor=-1,0,0,0,0"
+    )
+    assert code == 0 and err == ""
+    (trace,) = json.loads(out)["traces"]
+    assert trace["outcome"] == "fiber_type" and trace["steps"] == []
 
 def test_blowup_center_that_repeats_a_ray_is_input_error(capsys, registry):
     # 0,0,1 would star-subdivide at 2u0 + u1 into repeated cones.

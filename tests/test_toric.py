@@ -21,6 +21,7 @@ from toricfano.fan import (
 )
 from toricfano.lattice import dual_basis, primitive_vector, solve_integer, solve_rational
 from toricfano.library import (
+    BUILTIN_BUILDERS,
     bl_pt_p4,
     builtin,
     builtin_names,
@@ -555,6 +556,19 @@ def test_library_imports_first_in_a_fresh_interpreter():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1"
+
+
+def test_builtin_names_are_the_data_files():
+    assert builtin_names() == sorted([*BUILTIN_BUILDERS, "R3"])
+    with pytest.raises(KeyError):
+        builtin("../data/P4")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
+def test_builders_agree_with_their_data_files(name):
+    X = builtin(name)
+    assert X.name == name
+    assert BUILTIN_BUILDERS[name]().fan.canonical_key() == X.fan.canonical_key()
 
 
 def _reference_section(X):
