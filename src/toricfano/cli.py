@@ -59,20 +59,24 @@ class Session:
     registry: Path
 
     def resolve(self, name: str) -> ToricVariety:
+        """A name ending in ``.json`` or holding a path separator is a
+        path; any other name is a builtin, else a registered name, else
+        an existing path."""
         path = Path(name)
-        if path.suffix == ".json" or path.exists():
+        if name.endswith(".json") or path.name != name:
             return self._load_path(path)
+        if name in builtin_names():
+            return builtin(name)
         reg_path = self.registry / f"{name}.json"
         if reg_path.exists():
             return self._load_path(reg_path)
-        try:
-            return builtin(name)
-        except KeyError:
-            raise CliError(
-                f"unknown fan {name!r}: not a builtin "
-                f"({', '.join(builtin_names())}), not a file, "
-                f"not in registry {self.registry}"
-            ) from None
+        if path.exists():
+            return self._load_path(path)
+        raise CliError(
+            f"unknown fan {name!r}: not a builtin "
+            f"({', '.join(builtin_names())}), not a file, "
+            f"not in registry {self.registry}"
+        )
 
     def _load_path(self, path: Path) -> ToricVariety:
         # Singular contraction targets are registrable; carry them
@@ -192,13 +196,16 @@ def _result_name(args, move: str) -> str:
     """The registry name of a surgery result, checked before any surgery
     runs.  A fan given by path is named by its file name, so the result
     lands in the registry rather than next to the input.  A name ending
-    in ``.json`` is refused: ``Session.resolve`` would read it as a path."""
+    in ``.json`` is refused, and so is a builtin's name: ``Session.resolve``
+    would read either back as something else."""
     name = args.as_name
     if name is not None:
         if Path(name).name != name or name in ("", ".."):
             raise CliError(f"--as {name!r} is not a single path component")
         if name.endswith(".json"):
             raise CliError(f"--as {name!r} must not end in .json: it reads back as a path")
+        if name in builtin_names():
+            raise CliError(f"--as {name!r} is a builtin's name: it reads back as the builtin")
     return name or f"{Path(args.name).name.removesuffix('.json')}_{move}"
 
 

@@ -115,33 +115,19 @@ def dual_extreme_rays(vectors: Sequence[Sequence[int]], ambient_dim: int) -> lis
     Constraints of full rank ``ambient_dim`` cut out a pointed cone,
     whose extreme rays are the answer.  Otherwise the lineality part
     comes out as +/- pairs of the HNF kernel basis, and the pointed
-    part as extreme rays inside the orthogonal complement of the
-    lineality.  Sorted, primitive, deterministic: the answer depends
-    only on the set of primitive constraint directions.
+    part as extreme rays of the cone with +/- each lineality vector
+    appended as constraints: that cuts it down to the orthogonal
+    complement of the lineality and brings the rank to full.  Sorted,
+    primitive, deterministic: the answer depends only on the set of
+    primitive constraint directions.
     """
     cons = sorted(_dedupe_primitive(vectors))
     rays = _pointed_extreme_rays(cons, ambient_dim)
     if rays is not None:
         return sorted(set(rays))
-    if not cons:
-        units = _unit_vectors(ambient_dim)
-        return sorted(units + [tuple(-x for x in u) for u in units])
-    lineality = integer_kernel(transpose([list(c) for c in cons]))
-    complement = integer_kernel(transpose([list(l) for l in lineality]))
-    out: list[IntVec] = []
-    for l in lineality:
-        out.append(tuple(l))
-        out.append(tuple(-x for x in l))
-    d = len(complement)
-    reduced = _dedupe_primitive(tuple(dot(c, w) for w in complement) for c in cons)
-    # The constraints have rank d on the complement, so this is not None.
-    for t in _pointed_extreme_rays(reduced, d):
-        ray = tuple(
-            sum(t[k] * complement[k][j] for k in range(d))
-            for j in range(ambient_dim)
-        )
-        out.append(primitive_vector(ray))
-    return sorted(set(out))
+    lineality = integer_kernel(transpose(cons)) if cons else _unit_vectors(ambient_dim)
+    both = [s for l in lineality for s in (tuple(l), tuple(-x for x in l))]
+    return sorted(set(both + _pointed_extreme_rays(cons + both, ambient_dim)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Anticanonical invariant bookkeeping for smooth projective 4-folds.
 
-Tracks the tuple (chi(-K), (-K)^4, (-K)^2.c2, rho, chi(O)) through point
-blow-ups, curve blow-ups, plane blow-ups and small modifications, using
-the exact deltas of the 4-fold Riemann-Roch formula.  The integer
-identity
+Tracks the tuple (chi(-K), (-K)^4, (-K)^2.c2, rho) through point
+blow-ups, curve blow-ups, plane blow-ups and small modifications.  Each
+move adds its exact delta from the 4-fold Riemann-Roch formula, and the
+integer identity
 
     12 * (chi(-K) - chi(O)) = 2 * (-K)^4 + (-K)^2 . c2
 
-is enforced after every construction and every move.
+is enforced after every construction and every move.  chi(O) is the
+constant 1, which no script can set: the ledger tracks smooth Fano
+4-folds and what blow-ups and flips reach from them, where h^i(O) = 0
+for i > 0 (Kodaira vanishing on the Fano, then birational invariance).
 
 The module is usable standalone (non-toric scenarios are pure ledger
 arithmetic, driven by the move-script format below) and as a
@@ -33,16 +36,7 @@ on a line, including an invariant the move breaks, names the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-FANO_TO_SQM = "fano_to_sqm"
-SQM_TO_FANO = "sqm_to_fano"
-_DIRECTIONS = {
-    "f2s": FANO_TO_SQM,
-    "s2f": SQM_TO_FANO,
-    FANO_TO_SQM: FANO_TO_SQM,
-    SQM_TO_FANO: SQM_TO_FANO,
-}
+from typing import ClassVar, Iterable, Optional
 
 
 class LedgerError(ValueError):
@@ -55,8 +49,8 @@ class LedgerState:
     degK4: int
     c2K2: int
     rho: int
-    chi_O: int = 1
     fano_flag: bool = False
+    chi_O: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.rho < 1:
@@ -68,15 +62,13 @@ class LedgerState:
             )
 
     @staticmethod
-    def from_geometry(
-        degK4: int, c2K2: int, rho: int, fano_flag: bool = False, chi_O: int = 1
-    ) -> "LedgerState":
+    def from_geometry(degK4: int, c2K2: int, rho: int, fano_flag: bool = False) -> "LedgerState":
         num = 2 * degK4 + c2K2
         if num % 12 != 0:
             raise LedgerError(
                 f"2*(-K)^4 + (-K)^2.c2 = {num} is not divisible by 12"
             )
-        return LedgerState(num // 12 + chi_O, degK4, c2K2, rho, chi_O, fano_flag)
+        return LedgerState(num // 12 + LedgerState.chi_O, degK4, c2K2, rho, fano_flag)
 
     @property
     def h0_minusK(self) -> int:
@@ -89,7 +81,7 @@ class LedgerState:
         return (self.chi_minusK, self.degK4, self.c2K2, self.rho)
 
 
-P4_STATE = LedgerState(126, 625, 250, 1, 1, True)
+P4_STATE = LedgerState(126, 625, 250, 1, True)
 
 
 @dataclass(frozen=True)
@@ -108,54 +100,42 @@ class CurveBlowupData:
         return self.degKC + 2 - 2 * self.genus
 
 
+def _moved(s: LedgerState, chi: int, deg: int, c2: int, rho: int) -> LedgerState:
+    """The state after a move with these deltas of (chi(-K), (-K)^4,
+    (-K)^2.c2, rho); no move keeps the Fano flag."""
+    return LedgerState(s.chi_minusK + chi, s.degK4 + deg, s.c2K2 + c2, s.rho + rho)
+
+
 def apply_point_blowup(s: LedgerState) -> LedgerState:
     """Blow-up of a smooth point: deltas (-15, -81, -18), rho + 1."""
-    return LedgerState(
-        s.chi_minusK - 15, s.degK4 - 81, s.c2K2 - 18, s.rho + 1, s.chi_O, False
-    )
+    return _moved(s, -15, -81, -18, 1)
 
 
 def apply_curve_blowup(s: LedgerState, c: CurveBlowupData) -> LedgerState:
     """Blow-up of a smooth curve: deltas (-3d, -16d, -4d) with d = d(C)."""
-    d = c.dC
-    return LedgerState(
-        s.chi_minusK - 3 * d,
-        s.degK4 - 16 * d,
-        s.c2K2 - 4 * d,
-        s.rho + 1,
-        s.chi_O,
-        False,
-    )
+    return _moved(s, -3 * c.dC, -16 * c.dC, -4 * c.dC, 1)
 
 
 def apply_plane_blowup(s: LedgerState) -> LedgerState:
     """Blow-up of a plane with normal bundle O(-1)+O(-1): (-3, -17, -2)."""
-    return LedgerState(
-        s.chi_minusK - 3, s.degK4 - 17, s.c2K2 - 2, s.rho + 1, s.chi_O, False
-    )
+    return _moved(s, -3, -17, -2, 1)
 
 
 def apply_flip(s: LedgerState, direction: str, s_count: int) -> LedgerState:
-    """Small modification across s_count disjoint flipped components.
+    """Small modification across s_count disjoint flipped components,
+    ``f2s`` away from the Fano side and ``s2f`` back to it.
 
     chi(-K) and rho are unchanged; (-K)^4 drops by s_count from the
     side containing the planes to the side containing the lines and
     rises the other way; the c2 term moves by the compensating 2*s so
     the Riemann-Roch identity is preserved.
     """
+    if direction not in ("f2s", "s2f"):
+        raise LedgerError(f"unknown direction {direction!r}")
     if s_count < 0:
         raise LedgerError("component count s must be nonnegative")
-    if direction not in _DIRECTIONS:
-        raise LedgerError(f"unknown flip direction {direction!r}")
-    sign = -1 if _DIRECTIONS[direction] == FANO_TO_SQM else 1
-    return LedgerState(
-        s.chi_minusK,
-        s.degK4 + sign * s_count,
-        s.c2K2 - 2 * sign * s_count,
-        s.rho,
-        s.chi_O,
-        False,
-    )
+    t = s_count if direction == "s2f" else -s_count
+    return _moved(s, 0, t, -2 * t, 0)
 
 
 _H0_RANGES = {"index3": (1, 5), "index2": (1, 22)}
@@ -256,11 +236,10 @@ def _apply_line(state: Optional[LedgerState], parts: list[str]) -> LedgerState:
         return apply_point_blowup(state) if center == "point" else apply_plane_blowup(state)
     if head == "flip":
         kv = _parse_kv(args, ("dir", "s"), integers=False)
-        if kv["dir"] not in _DIRECTIONS:
-            raise LedgerError(f"unknown direction {kv['dir']!r}")
         try:
             s_count = int(kv["s"])
         except ValueError:
+            apply_flip(state, kv["dir"], 0)  # names an unknown direction first
             raise LedgerError("s must be an integer") from None
         return apply_flip(state, kv["dir"], s_count)
     raise LedgerError(f"unknown move {head!r}")

@@ -15,7 +15,11 @@ contraction is built to decide it.  Every divisorial ray carries its
 center, the positive support of its relation (Reid: the relation fixes
 the contraction), and ``contract`` re-fans the star over exactly that
 center.  The flippable small pattern is a five-ray circuit with unit
-coefficients split 3 against 2.
+coefficients split 3 against 2.  A flip takes a class only on a small
+extremal ray: the walls of a class off the extremal rays can show the
+same pattern, but exchanging their circuits gives a complete fan that
+is not the flip of a contraction (on a blow-up of R3, one whose nef
+cone has empty interior).
 
 Flips and contractions come in two steps: the fan-level move
 (``flipped_fan``, ``contracted_fan``) and the model build, so a walk
@@ -35,7 +39,7 @@ from typing import Optional, Sequence, Union
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError
-from .lattice import integer_kernel, primitive_vector, solve_integer, solve_rational, transpose
+from .lattice import dot, hermite_normal_form, primitive_vector
 from .variety import CurveClass, ToricVariety, Wall
 
 IntVec = tuple[int, ...]
@@ -177,12 +181,16 @@ def _is_flippable_pattern(relation: IntVec) -> bool:
 
 def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> list[FlipCircuit]:
     """Group the walls on a small extremal class into bistellar circuits,
-    checking the five-ray unit-coefficient pattern."""
+    checking that the class is on a small extremal ray and the
+    five-ray unit-coefficient pattern."""
     _require_4fold(X)
     coords = curve.coords if isinstance(curve, CurveClass) else tuple(curve)
-    indices = X.walls_by_class.get(primitive_vector(coords)) if any(coords) else None
+    ray = primitive_vector(coords) if any(coords) else None
+    indices = X.walls_by_class.get(ray)
     if indices is None:
         raise SurgeryError(f"no wall curve on the ray of {coords}")
+    if not any(c.coords == ray and d.kind == "small" for c, d in extremal_rays(X)):
+        raise SurgeryError(f"class {list(coords)} is not on a small extremal ray")
     by_support: dict[tuple[int, ...], list[Wall]] = {}
     for i in indices:
         by_support.setdefault(X.walls[i].circuit_support, []).append(X.walls[i])
@@ -268,20 +276,11 @@ def ne_cone(X: ToricVariety) -> RationalCone:
 
 def divisor_link_fan(X: ToricVariety, ray_index: int) -> Fan:
     """The fan of the invariant divisor D_r: the star of the ray
-    projected along it."""
+    projected along it.  The row HNF of the primitive ray u gives a
+    unimodular U with U u = e_1, so U's other rows map N/Zu onto
+    Z^(dim-1)."""
     fan = X.fan
-    u = fan.rays[ray_index]
-    w = solve_integer([list(u)], [1])
-    assert w is not None
-    basis = integer_kernel(transpose([list(w)]))
-    assert len(basis) == fan.dim - 1
-
-    def project(x: Sequence[int]) -> IntVec:
-        shift = [x[t] - sum(w[s] * x[s] for s in range(fan.dim)) * u[t] for t in range(fan.dim)]
-        coords = solve_rational(transpose([list(b) for b in basis]), shift)
-        assert coords is not None and all(f.denominator == 1 for f in coords)
-        return tuple(int(f) for f in coords)
-
+    _, U = hermite_normal_form([[x] for x in fan.rays[ray_index]])
     link_rays: list[IntVec] = []
     index_map: dict[int, int] = {}
     cones = []
@@ -294,7 +293,7 @@ def divisor_link_fan(X: ToricVariety, ray_index: int) -> Fan:
                 continue
             if i not in index_map:
                 index_map[i] = len(link_rays)
-                link_rays.append(primitive_vector(project(fan.rays[i])))
+                link_rays.append(primitive_vector([dot(row, fan.rays[i]) for row in U[1:]]))
             quotient_cone.append(index_map[i])
         cones.append(sorted(quotient_cone))
     return Fan.make(fan.dim - 1, [list(r) for r in link_rays], cones)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fan_corruptions import BUILTIN_FANS, corrupted_fans, fan_object
 from toricfano.cli import main
 from toricfano.fan import fan_to_json
-from toricfano.library import p4
+from toricfano.library import bl_pt_p4, p4
 
 
 @pytest.fixture()
@@ -379,6 +379,53 @@ def test_an_as_name_ending_in_json_is_refused_before_surgery(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "P4", "--center", "0,1,2,3"],
+        ["contract", "Bl_pt_P4", "--ray", "5"],
+        ["flip", "D3", "--class", "0,-1,0"],
+    ],
+)
+def test_as_a_builtin_name_is_refused_before_surgery(capsys, registry, monkeypatch, argv):
+    # Registered as P4.json, the result would never be read back:
+    # ``info P4`` reads the builtin.
+    from toricfano import cli
+
+    def surgery(*args, **kwargs):
+        raise AssertionError("surgery ran before --as was checked")
+
+    for move in ("blowup", "contract", "flip", "extremal_rays"):
+        monkeypatch.setattr(cli, move, surgery)
+    code, out, err = run(capsys, "--registry", registry, *argv, "--as", "P4")
+    assert code == 2 and out == ""
+    assert err == "error: --as 'P4' is a builtin's name: it reads back as the builtin\n"
+    assert not Path(registry).exists()
+
+
+def test_a_builtin_name_reads_the_builtin_over_the_registry(capsys, registry):
+    # A P4.json left in the registry does not shadow the builtin.
+    Path(registry).mkdir()
+    (Path(registry) / "P4.json").write_text(fan_to_json(bl_pt_p4().fan) + "\n")
+    code, out, _ = run(capsys, "--registry", registry, "--json", "info", "P4")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["hash"], obj["chi_minusK"]) == ("c490d0128ba8b932", 126)
+
+
+def test_a_registered_name_reads_over_a_directory_of_that_name(capsys, registry, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B").mkdir()
+    code, out, err = run(
+        capsys, "--registry", registry, "--json", "blowup", "P4", "--center", "0,1,2,3", "--as", "B"
+    )
+    assert code == 0, err
+    blown_up = json.loads(out)["output_hash"]
+    code, out, err = run(capsys, "--registry", registry, "--json", "info", "B")
+    assert code == 0, err
+    assert json.loads(out)["hash"] == blown_up
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["blowup", "P4", "--center", "a,b"],
@@ -512,6 +559,24 @@ def test_flip_class_zero_and_non_primitive(capsys, registry):
         assert code == 0
         hashes.append(json.loads(out)["output_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_flip_refuses_a_wall_class_off_the_small_extremal_rays(capsys, registry):
+    # Z1 carries walls on (1, 0, 1, 1, 0, 0) with the flippable pattern,
+    # but the class is not extremal: exchanging its circuit gave a fan
+    # that is not projective.
+    for argv in (
+        ["blowup", "R3", "--center", "0,2,4,6", "--as", "Z"],
+        ["flip", "Z", "--class=-1,0,-1,0,0,-1", "--as", "Z1"],
+    ):
+        code, _, err = run(capsys, "--registry", registry, *argv)
+        assert code == 0, err
+    code, out, err = run(
+        capsys, "--registry", registry, "flip", "Z1", "--class", "1,0,1,1,0,0", "--as", "Z2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: class [1, 0, 1, 1, 0, 0] is not on a small extremal ray\n"
+    assert not (Path(registry) / "Z2.json").exists()
 
 
 def test_replay_ex61(capsys, registry):

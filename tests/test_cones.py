@@ -409,8 +409,8 @@ def test_full_rank_conversion_takes_no_lineality_step(monkeypatch):
         (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)
     ]
     assert calls == []
-    # A +/- pair leaves a line of lineality, found by one kernel per side.
+    # A +/- pair leaves a line of lineality, found by one kernel.
     assert dual_extreme_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3) == [
         (0, 0, -1), (0, 0, 1), (0, 1, 0)
     ]
-    assert len(calls) == 2
+    assert len(calls) == 1

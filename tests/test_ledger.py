@@ -107,8 +107,8 @@ def test_flip_zero_is_identity_on_numbers():
 def test_flip_involution():
     for s0 in (P4_STATE, apply_point_blowup(P4_STATE)):
         for n in (1, 5, 36):
-            there = apply_flip(s0, "fano_to_sqm", n)
-            back = apply_flip(there, "sqm_to_fano", n)
+            there = apply_flip(s0, "f2s", n)
+            back = apply_flip(there, "s2f", n)
             assert back.as_tuple() == s0.as_tuple()
 
 

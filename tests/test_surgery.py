@@ -474,6 +474,23 @@ def test_flip_circuits_match_the_wall_scan(name):
         assert flip_circuits(X, [2 * x for x in c.coords]) == reference
 
 
+def test_flip_accepts_exactly_the_flippable_small_extremal_rays():
+    # Over the 15 chamber models of a blow-up of R3, every wall class is
+    # tried; 8 of the 169 non-extremal ones used to be flipped.
+    models = mori_chambers(blowup(builtin("R3"), (0, 2, 4, 6))).fans
+    assert len(models) == 15
+    for fan in models:
+        X = ToricVariety(fan)
+        good = {c.coords for c, d in extremal_rays(X) if d.kind == "small" and d.flippable}
+        for cls in {w.curve_class.coords for w in X.walls}:
+            try:
+                flip(X, cls)
+            except SurgeryError:
+                assert cls not in good
+            else:
+                assert cls in good
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_negative_candidates_match_the_wall_scan(name):
     X = builtin(name)
