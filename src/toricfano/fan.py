@@ -385,4 +385,3 @@ def validated(fan: Fan, *, allow_singular: bool = False) -> ValidationReport:
     ):
         return report
     report.raise_if_failed()
-    return report

@@ -239,18 +239,27 @@ def _data_dir():
     return resources.files("toricfano").joinpath("data")
 
 
-def builtin_names() -> list[str]:
-    """The stems of the frozen data files."""
-    return sorted(
-        entry.name.removesuffix(".json")
-        for entry in _data_dir().iterdir()
-        if entry.name.endswith(".json")
+@lru_cache(maxsize=None)
+def _builtin_names() -> tuple[str, ...]:
+    """The stems of the frozen data files; they ship with the package, so
+    the directory is listed once per process, on first use."""
+    return tuple(
+        sorted(
+            entry.name.removesuffix(".json")
+            for entry in _data_dir().iterdir()
+            if entry.name.endswith(".json")
+        )
     )
+
+
+def builtin_names() -> list[str]:
+    """The stems of the frozen data files, as a new list."""
+    return list(_builtin_names())
 
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> ToricVariety:
     """Load a builtin fan from its frozen data file."""
-    if name not in builtin_names():
+    if name not in _builtin_names():
         raise KeyError(f"unknown builtin fan {name!r}")
     return ToricVariety(fan_from_json(_data_dir().joinpath(f"{name}.json").read_text()), name=name)

@@ -135,8 +135,6 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
         return X._suite
     ne = ne_cone(X)
     nef = ne.dual()
-    if nef.dim < X.rho:
-        raise MoriError("fan is not projective: nef cone has empty interior")
     walls = [w.curve_class.coords for w in X.walls]
     if any(dot(c, g) < 0 for c in walls for g in nef.generators):
         raise InternalCheckError(
@@ -202,7 +200,7 @@ def _divisor_vector(X: ToricVariety, divisor: Union[int, Sequence]) -> tuple:
         vec[divisor] = 1
         return tuple(vec)
     if isinstance(divisor, DivisorClass):
-        return tuple(X.lift(divisor))
+        return divisor.prime_coefficients
     vec = tuple(divisor)
     if len(vec) != X.n_rays:
         raise MoriError("divisor coefficient vector has wrong length")
@@ -234,22 +232,24 @@ def _models(X: ToricVariety) -> dict[Fan, ToricVariety]:
 
 def _apply_step(
     X: ToricVariety, vec, c: CurveClass, desc: ContractionDescriptor, models: dict
-) -> tuple[TraceStep, Optional[ToricVariety], Optional[tuple]]:
+) -> tuple[TraceStep, ToricVariety, tuple]:
     """Execute one MMP step; returns (step, next variety, next divisor).
     The target's fan is computed first; the next variety is the model in
     ``models`` with that fan, if there is one, and is built and added to
-    ``models`` otherwise."""
+    ``models`` otherwise.  The ray is small or divisorial: ``_mmp_moves``
+    ends a walk before a fiber-type ray."""
     if desc.kind == "small":
         if not desc.flippable:
             raise MoriError(
-                f"negative small ray with non-flippable circuit {list(desc.relation_sample)}"
+                f"negative small ray {list(c.coords)} with non-flippable circuit"
+                f" {list(desc.relation_sample)} on fan {X.fan.content_hash()}"
             )
         fan2, circuits = flipped_fan(X, c)
         X2 = models.get(fan2)
         if X2 is None:
             X2 = models[fan2] = ToricVariety(fan2, source=X)
         move, vec2, circuit_count = "flip", vec, len(circuits)
-    elif desc.kind == "divisorial":
+    else:
         r = desc.exc_rays[0]
         fan2 = contracted_fan(X, r, desc.center)
         X2 = models.get(fan2)
@@ -263,8 +263,6 @@ def _apply_step(
             )
         vec2 = tuple(x for i, x in enumerate(vec) if i != r)
         move, circuit_count = "contraction", 0
-    else:
-        raise MoriError("fiber-type ray cannot be executed as a birational step")
     step = TraceStep(
         move=move, curve_class=c, descriptor=desc, fan_after=X2.fan, circuit_count=circuit_count
     )
@@ -339,14 +337,17 @@ def mmp_all_for_divisor(
 
 @dataclass(frozen=True)
 class FixedDivisorReport:
+    """A fixed prime divisor D = D_r typed by its MMP: the default-policy
+    trace ends contracting D, and its last step's wall curve is C_D
+    (``mmp_trace.steps[-1].curve_class``)."""
+
     ray_index: int
     divisor_class: DivisorClass
-    type_label: Optional[str] = None
-    outcomes: tuple[str, ...] = ()
-    mmp_trace: Optional[BirationalTrace] = None
-    C_D: Optional[CurveClass] = None
-    pairing_D_CD: Optional[int] = None
-    degK_CD: Optional[int] = None
+    type_label: str
+    outcomes: tuple[str, ...]
+    mmp_trace: BirationalTrace
+    pairing_D_CD: int
+    degK_CD: int
 
     def as_dict(self) -> dict:
         return {
@@ -359,12 +360,13 @@ class FixedDivisorReport:
         }
 
 
-def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
-    """Invariant prime divisors whose class spans a one-dimensional face
-    of the effective cone not contained in the movable cone."""
+def fixed_prime_divisors(X: ToricVariety) -> list[int]:
+    """The rays, ascending, whose invariant prime divisor's class spans
+    a one-dimensional face of the effective cone not contained in the
+    movable cone."""
     suite = cone_suite(X)
     rays_by_class = _rays_by_class(X)
-    reports = []
+    rays = []
     for g in suite.eff.generators:
         if suite.mov.contains(g):
             continue
@@ -374,25 +376,21 @@ def fixed_prime_divisors(X: ToricVariety) -> list[FixedDivisorReport]:
                 f"effective face {g} carried by {len(matches)} invariant divisors"
                 f" on fan {X.fan.content_hash()}"
             )
-        i = matches[0]
-        reports.append(
-            FixedDivisorReport(ray_index=i, divisor_class=X.ray_divisor_class(i))
-        )
-    return sorted(reports, key=lambda r: r.ray_index)
+        rays.append(matches[0])
+    return sorted(rays)
 
 
 def classify_fixed_divisor(
-    X: ToricVariety, report: FixedDivisorReport, *, max_steps: int = 64
+    X: ToricVariety, r: int, *, max_steps: int = 64
 ) -> FixedDivisorReport:
-    """Assign the contraction type of a fixed prime divisor.
+    """Type the fixed prime divisor of ray r by its contraction.
 
     One exhaustive MMP walk: its first trace, the default-policy run,
-    supplies the distinguished curve moving in the divisor (the wall
+    supplies the distinguished curve C_D moving in the divisor (the wall
     curve of the terminal contraction, whose class is unchanged by the
     preceding flips); the whole walk decides uniqueness, and differing
     outcomes on low Picard number are reported as ambiguous.
     """
-    r = report.ray_index
     traces = mmp_all_for_divisor(X, r, max_steps=max_steps)
     default = traces[0]
     if default.outcome != "contracted" or not default.steps:
@@ -413,24 +411,21 @@ def classify_fixed_divisor(
             f"rho = {X.rho} >= 6 but the MMP outcome is not unique: {labels}"
             f" for the divisor of ray {r} on fan {X.fan.content_hash()}"
         )
-    terminal = default.steps[-1]
-    c_d = terminal.curve_class
-    pairing = dot(X.ray_divisor_class(r).coords, c_d.coords)
-    degk = dot(X.anticanonical_class.coords, c_d.coords)
+    divisor = X.ray_divisor_class(r)
+    c_d = default.steps[-1].curve_class.coords
     return FixedDivisorReport(
         ray_index=r,
-        divisor_class=report.divisor_class,
+        divisor_class=divisor,
         type_label=label,
         outcomes=tuple(labels),
         mmp_trace=default,
-        C_D=c_d,
-        pairing_D_CD=pairing,
-        degK_CD=degk,
+        pairing_D_CD=dot(divisor.coords, c_d),
+        degK_CD=dot(X.anticanonical_class.coords, c_d),
     )
 
 
 def classified_fixed_divisors(X: ToricVariety, **kw) -> list[FixedDivisorReport]:
-    return [classify_fixed_divisor(X, rep, **kw) for rep in fixed_prime_divisors(X)]
+    return [classify_fixed_divisor(X, r, **kw) for r in fixed_prime_divisors(X)]
 
 
 # -- Lefschetz defect --------------------------------------------------

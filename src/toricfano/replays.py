@@ -51,8 +51,7 @@ def _replay_ex52(cl: Checklist) -> None:
     cl.check("blow-up of the negative section has rho = 3", X.rho == 3)
     cl.check("it is Fano", X.is_fano)
     exc = X.n_rays - 1
-    fixed = {r.ray_index for r in fixed_prime_divisors(X)}
-    cl.check("the exceptional divisor is a fixed prime divisor", exc in fixed)
+    cl.check("the exceptional divisor is a fixed prime divisor", exc in fixed_prime_divisors(X))
     traces = mmp_all_for_divisor(X, exc)
     by_label = {
         t.terminal_descriptor.type_label: t
@@ -86,8 +85,8 @@ def _replay_ex511(cl: Checklist) -> None:
     cl.check("the P1-bundle over P1 x P2 has rho = 3", X.rho == 3)
     cl.check("it is Fano", X.is_fano)
     section = 0
-    fixed = [r for r in fixed_prime_divisors(X) if r.ray_index == section]
-    cl.check("the section divisor is fixed", bool(fixed))
+    fixed = section in fixed_prime_divisors(X)
+    cl.check("the section divisor is fixed", fixed)
     labels = {
         d.type_label
         for _, d in extremal_rays(X)
@@ -99,7 +98,7 @@ def _replay_ex511(cl: Checklist) -> None:
     )
     outcomes, label = set(), None
     if fixed:
-        rep = classify_fixed_divisor(X, fixed[0])
+        rep = classify_fixed_divisor(X, section)
         outcomes, label = set(rep.outcomes), rep.type_label
     cl.check(
         "its MMPs end in exactly those two types",

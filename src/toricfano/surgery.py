@@ -266,11 +266,13 @@ class ContractionDescriptor:
 
 def ne_cone(X: ToricVariety) -> RationalCone:
     """Cone of effective curves, generated by the wall classes; built
-    once per variety."""
+    once per variety, and refused when its dual, the nef cone, has
+    empty interior: the fan is then not projective."""
     if X._ne is None:
-        X._ne = RationalCone.from_generators(
-            [w.curve_class.coords for w in X.walls], X.rho
-        )
+        ne = RationalCone.from_generators([w.curve_class.coords for w in X.walls], X.rho)
+        if ne.dual().dim < X.rho:
+            raise SurgeryError("fan is not projective: nef cone has empty interior")
+        X._ne = ne
     return X._ne
 
 
@@ -400,8 +402,6 @@ def extremal_rays(X: ToricVariety) -> list[tuple[CurveClass, ContractionDescript
         ne = ne_cone(X)
         if ne.dim < X.rho:
             raise SurgeryError("cone of curves is not full-dimensional")
-        if ne.dual().dim < X.rho:
-            raise SurgeryError("fan is not projective: nef cone has empty interior")
         out = []
         for g in ne.generators:
             indices = X.walls_by_class.get(g)

@@ -72,30 +72,23 @@ def _as_coords(v: Sequence) -> Coords:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Element of N^1(X) in the canonical class-group basis."""
+    """Element of N^1(X) in the canonical class-group basis, with the
+    coefficients a_i of one divisor sum_i a_i D_i in the class."""
 
     coords: Coords
-    prime_coefficients: Optional[Coords] = None
+    prime_coefficients: Coords
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        pc = None
-        if self.prime_coefficients is not None and other.prime_coefficients is not None:
-            pc = _as_coords(
-                a + b for a, b in zip(self.prime_coefficients, other.prime_coefficients)
-            )
-        return DivisorClass(_as_coords(a + b for a, b in zip(self.coords, other.coords)), pc)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-1) * other
+        return DivisorClass(
+            _as_coords(a + b for a, b in zip(self.coords, other.coords)),
+            _as_coords(a + b for a, b in zip(self.prime_coefficients, other.prime_coefficients)),
+        )
 
     def __rmul__(self, k) -> "DivisorClass":
-        pc = None
-        if self.prime_coefficients is not None:
-            pc = _as_coords(k * a for a in self.prime_coefficients)
-        return DivisorClass(_as_coords(k * a for a in self.coords), pc)
-
-    def __neg__(self) -> "DivisorClass":
-        return (-1) * self
+        return DivisorClass(
+            _as_coords(k * a for a in self.coords),
+            _as_coords(k * a for a in self.prime_coefficients),
+        )
 
 
 @dataclass(frozen=True)
@@ -104,14 +97,8 @@ class CurveClass:
 
     coords: Coords
 
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(_as_coords(a + b for a, b in zip(self.coords, other.coords)))
-
     def __rmul__(self, k) -> "CurveClass":
         return CurveClass(_as_coords(k * a for a in self.coords))
-
-    def __neg__(self) -> "CurveClass":
-        return (-1) * self
 
 
 @dataclass(frozen=True)
@@ -250,16 +237,6 @@ class ToricVariety:
     def anticanonical_class(self) -> DivisorClass:
         """Class of the sum of all invariant prime divisors."""
         return self.divisor_class([1] * self.n_rays)
-
-    def lift(self, d: DivisorClass) -> Coords:
-        """A coefficient vector over the rays representing the class."""
-        if d.prime_coefficients is not None:
-            return d.prime_coefficients
-        vec = [0] * self.n_rays
-        for a, col in zip(d.coords, self._section):
-            for i in range(self.n_rays):
-                vec[i] += a * col[i]
-        return _as_coords(vec)
 
     @staticmethod
     def pair(d: DivisorClass, c: CurveClass):
@@ -403,7 +380,7 @@ class ToricVariety:
         """
         vectors, denom = [], 1
         for d in divisors:
-            vec = self.lift(d) if isinstance(d, DivisorClass) else _as_coords(d)
+            vec = d.prime_coefficients if isinstance(d, DivisorClass) else _as_coords(d)
             q = lcm(*(x.denominator for x in vec))
             vectors.append([x.numerator * (q // x.denominator) for x in vec])
             denom *= q

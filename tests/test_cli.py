@@ -203,6 +203,36 @@ def test_negative_max_steps_is_refused_at_parse_time(capsys, registry, where):
     assert out.err.splitlines()[-1].endswith("error: argument --max-steps: must be at least 0, got -1")
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_non_integer_max_steps_is_refused_at_parse_time(capsys, registry, where):
+    cap = ["--max-steps", "abc"]
+    argv = ["--registry", registry] + (cap if where == "before" else [])
+    argv += ["fixed", "D3"] + (cap if where == "after" else [])
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1].endswith("invalid int value: 'abc'")
+
+
+def test_a_non_flippable_negative_ray_names_its_model(capsys, registry):
+    # The MMP of ray 2 on R3 blown up along (2, 4, 6) meets the ray on a
+    # model it reached, not on the input; the relation is over that
+    # model's rays.
+    code, out, err = run(
+        capsys, "--registry", registry, "--json", "blowup", "R3", "--center", "2,4,6", "--as", "W"
+    )
+    assert code == 0, err
+    assert json.loads(out)["output_hash"] == "30cfc8173ed38cb6"
+    line = (
+        "error: negative small ray [0, 0, -1, 0, 0, -1] with non-flippable circuit"
+        " [0, 0, -1, 0, 0, 1, -1, 0, 0, 1] on fan 4972dca9772f53f4\n"
+    )
+    for argv in (["fixed", "W"], ["mmp", "W", "--divisor", "2", "--exhaustive"]):
+        code, out, err = run(capsys, "--registry", registry, *argv)
+        assert (code, out, err) == (2, "", line)
+
+
 def test_fixed_table(capsys, registry):
     code, out, _ = run(capsys, "--registry", registry, "fixed", "Bl_pt_P4")
     assert code == 0
@@ -243,6 +273,19 @@ def test_chambers_table_has_one_row_per_edge(capsys, registry):
     assert len(rows) == len(edges) == 1
     for row, edge in zip(rows, edges):
         assert row.split(None, 2) == [edge["from"], edge["to"], str(edge["flipped_class"])]
+
+
+def test_chambers_text_lists_the_excluded_walls(capsys, registry):
+    code, _, err = run(capsys, "--registry", registry, "blowup", "R3", "--center", "0,2,4", "--as", "V")
+    assert code == 0, err
+    code, out, err = run(capsys, "--registry", registry, "--json", "chambers", "V")
+    excluded = json.loads(out)["excluded"]
+    code, out, err = run(capsys, "--registry", registry, "chambers", "V")
+    assert code == 0 and err == ""
+    lines = [line for line in out.splitlines() if line.startswith("excluded: ")]
+    assert lines == [f"excluded: {e}" for e in excluded]
+    assert len(lines) == 15
+    assert lines[-1] == "excluded: coverage of the movable cone not verified (walls excluded)"
 
 
 def test_cones_text_lists_each_cone(capsys, registry):
@@ -423,6 +466,16 @@ def test_a_registered_name_reads_over_a_directory_of_that_name(capsys, registry,
     code, out, err = run(capsys, "--registry", registry, "--json", "info", "B")
     assert code == 0, err
     assert json.loads(out)["hash"] == blown_up
+
+
+def test_a_bare_name_loads_a_file_in_the_working_directory(capsys, registry, tmp_path, monkeypatch):
+    # Neither a builtin nor registered, the name is read as a path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "myfan").write_text(fan_to_json(p4().fan) + "\n")
+    code, out, err = run(capsys, "--registry", registry, "--json", "info", "myfan")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert (obj["name"], obj["hash"]) == ("myfan", "c490d0128ba8b932")
 
 
 @pytest.mark.parametrize(

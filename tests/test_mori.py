@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import toricfano
+from toricfano.cli import main
 from toricfano.cones import RationalCone, dual_extreme_rays
+from toricfano.fan import Fan, fan_to_json
 from toricfano.lattice import det_int, dot, primitive_vector
 from toricfano.ledger import apply_point_blowup
 from toricfano.library import (
@@ -36,7 +38,7 @@ from toricfano.mori import (
     _gale_inverses,
     _triangulation_from_weight,
 )
-from toricfano.surgery import blowup, flip, flipped_fan, ne_cone
+from toricfano.surgery import SurgeryError, blowup, flip, flipped_fan, ne_cone
 from toricfano.variety import ToricVariety
 
 from test_cones import _intersect
@@ -76,8 +78,7 @@ def test_cone_suite_dualities_hold():
 
 def test_fixed_divisors_bl_pt_p4():
     X = bl_pt_p4()
-    reports = fixed_prime_divisors(X)
-    assert [r.ray_index for r in reports] == [5]
+    assert fixed_prime_divisors(X) == [5]
 
 
 def test_classify_exceptional_of_point_blowup():
@@ -122,21 +123,19 @@ def test_mmp_exhaustive_d3_finds_two_routes():
 def test_classify_d3_ambiguous():
     X = d3()
     exc = X.n_rays - 1
-    rep_by_ray = {r.ray_index: r for r in fixed_prime_divisors(X)}
-    assert set(rep_by_ray) == {1, exc}
-    rep = classify_fixed_divisor(X, rep_by_ray[exc])
+    assert set(fixed_prime_divisors(X)) == {1, exc}
+    rep = classify_fixed_divisor(X, exc)
     assert rep.type_label == "ambiguous((3,0)_other, (3,2)^sm)"
     assert set(rep.outcomes) == {"(3,2)^sm", "(3,0)_other"}
     # The untouched fiber divisor is unambiguously a point blow-down.
-    other = classify_fixed_divisor(X, rep_by_ray[1])
+    other = classify_fixed_divisor(X, 1)
     assert other.type_label == "(3,0)^sm"
 
 
 def test_classify_511_ambiguous():
     X = bundle_over_p1xp2_O11()
-    reports = fixed_prime_divisors(X)
-    assert [r.ray_index for r in reports] == [0]
-    rep = classify_fixed_divisor(X, reports[0])
+    assert fixed_prime_divisors(X) == [0]
+    rep = classify_fixed_divisor(X, 0)
     assert set(rep.outcomes) == {"(3,1)^sm", "(3,2)^sm"}
     assert rep.type_label == "ambiguous((3,1)^sm, (3,2)^sm)"
 
@@ -146,8 +145,8 @@ def test_mmp_traces_never_revisit_a_model():
     # trace never revisits a fan (the naive sum of |D.C_w| over negative
     # walls can stay constant across a flip and is not a valid measure).
     for X in (d3(), bundle_over_p1xp2_O11(), builtin("R3")):
-        for rep in fixed_prime_divisors(X):
-            for trace in mmp_all_for_divisor(X, rep.ray_index):
+        for r in fixed_prime_divisors(X):
+            for trace in mmp_all_for_divisor(X, r):
                 keys = [trace.start.canonical_key()]
                 keys += [s.fan_after.canonical_key() for s in trace.steps]
                 assert len(keys) == len(set(keys))
@@ -194,7 +193,7 @@ def test_mmp_walks_from_one_variety_build_each_fan_once(monkeypatch, name, smoot
 def test_default_mmp_reuses_the_models_of_the_exhaustive_walk(monkeypatch):
     calls = _count_walls(monkeypatch)
     X = ToricVariety(builtin("R3").fan)
-    rays = [rep.ray_index for rep in fixed_prime_divisors(X)]
+    rays = fixed_prime_divisors(X)
     for r in rays:
         mmp_for_divisor(X, r)
     for r in rays:
@@ -215,8 +214,8 @@ def test_mmp_steps_keep_the_ledger_rules():
     flips = point_blowdowns = 0
     for name in builtin_names():
         X = ToricVariety(builtin(name).fan)
-        for rep in fixed_prime_divisors(X):
-            for trace in mmp_all_for_divisor(X, rep.ray_index):
+        for r in fixed_prime_divisors(X):
+            for trace in mmp_all_for_divisor(X, r):
                 before = X
                 for step in trace.steps:
                     after = X._models[step.fan_after]
@@ -282,12 +281,38 @@ def test_mori_chambers_d3_two():
     assert union == ch.mov
 
 
-def test_mori_chambers_nonprojective_rejected():
-    # Complete but non-projective fans are out of reach of this corpus;
-    # instead check the projectivity error channel on a singular mock.
+def _nonprojective_fan() -> Fan:
+    """A complete smooth fan that is not projective: on a flip of a
+    blow-up of R3, the circuits of the walls on the non-extremal class
+    (1, 0, 1, 1, 0, 0) exchanged by hand."""
+    Z1, _ = flip(blowup(builtin("R3"), (0, 2, 4, 6)), (-1, 0, -1, 0, 0, -1))
+    cones = set(Z1.fan.max_cones)
+    for i in Z1.walls_by_class[(1, 0, 1, 1, 0, 0)]:
+        w = Z1.walls[i]
+        support = set(w.circuit_support)
+        cones -= {tuple(sorted(support - {p})) for p in w.positive_rays}
+        cones |= {tuple(sorted(support - {m})) for m in w.negative_rays}
+    return Fan(Z1.dim, Z1.fan.rays, tuple(sorted(cones)))
+
+
+def test_mori_chambers_nonprojective_rejected(capsys, tmp_path):
     X = p4()
     ch = mori_chambers(X)
     assert ch.count == 1
+    fan = _nonprojective_fan()
+    Y = ToricVariety(fan)
+    assert fan.content_hash() == "d0219caf60117461" and Y.is_smooth
+    message = "fan is not projective: nef cone has empty interior"
+    with pytest.raises(SurgeryError) as e:
+        ne_cone(Y)
+    assert str(e.value) == message
+    path = tmp_path / "nonprojective.json"
+    path.write_text(fan_to_json(fan) + "\n")
+    registry = str(tmp_path / "fans")
+    for command in (["cones"], ["fixed"], ["chambers"], ["delta"], ["mmp", "--divisor", "0"]):
+        assert main(["--registry", registry, *command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def test_chamber_cap_names_the_fan():
@@ -345,9 +370,9 @@ def test_mmp_step_cap_diagnostic():
 
 def _fixed_divisor_cases():
     return [
-        (name, rep.ray_index)
+        (name, ray)
         for name in ("B511", "Bl_pt_P4", "D3", "R3", "Y_tower")
-        for rep in fixed_prime_divisors(builtin(name))
+        for ray in fixed_prime_divisors(builtin(name))
     ]
 
 
