@@ -32,23 +32,19 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, builder in BUILTIN_BUILDERS.items():
         X = builder()
-        obj = json.loads(fan_to_json(X.fan, provenance=PROVENANCE[name]))
-        obj["name"] = name
+        obj = json.loads(fan_to_json(X.fan))
+        obj["name"], obj["provenance"] = name, PROVENANCE[name]
         (out_dir / f"{name}.json").write_text(json.dumps(obj, sort_keys=True) + "\n")
         print(f"wrote {name}: {X.n_rays} rays, rho {X.rho}")
 
     tower = r3_tower_search()
-    obj = json.loads(
-        fan_to_json(
-            tower.fano.fan,
-            provenance=(
-                "two-point blow-up of Y_tower at the fixed points "
-                f"{list(tower.points[0])} and {list(tower.points[1])}, "
-                "followed by three anticanonically positive flips"
-            ),
-        )
-    )
+    obj = json.loads(fan_to_json(tower.fano.fan))
     obj["name"] = "R3"
+    obj["provenance"] = (
+        "two-point blow-up of Y_tower at the fixed points "
+        f"{list(tower.points[0])} and {list(tower.points[1])}, "
+        "followed by three anticanonically positive flips"
+    )
     (out_dir / "R3.json").write_text(json.dumps(obj, sort_keys=True) + "\n")
     print(f"wrote R3: {tower.fano.n_rays} rays, rho {tower.fano.rho}")
 

@@ -30,7 +30,7 @@ from .surgery import (
     extremal_rays,
     flip,
 )
-from .variety import CurveClass, DivisorClass, ToricVariety, Wall
+from .variety import ToricVariety, Wall
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,6 @@ __all__ = [
     "ConeSuite",
     "ContractionDescriptor",
     "CurveBlowupData",
-    "CurveClass",
-    "DivisorClass",
     "Fan",
     "FixedDivisorReport",
     "LedgerState",

@@ -54,7 +54,7 @@ class CliError(Exception):
 
 @dataclass
 class Session:
-    """Named fan registry backed by a directory, plus a move log."""
+    """Named fan registry backed by a directory."""
 
     registry: Path
 
@@ -86,7 +86,7 @@ class Session:
         except ValidationError as e:
             raise CliError(f"{path}: {e}") from None
 
-    def register(self, name: str, X: ToricVariety, move: str) -> Path:
+    def register(self, name: str, X: ToricVariety) -> Path:
         out = self.registry / f"{name}.json"
         payload = fan_to_json(X.fan) + "\n"
         try:
@@ -97,8 +97,6 @@ class Session:
                     "pick another with --as"
                 )
             out.write_text(payload)
-            with (self.registry / "moves.log").open("a") as fh:
-                fh.write(f"{name}: {move}\n")
         except (OSError, UnicodeDecodeError) as e:
             raise CliError(f"cannot register {name!r} in {self.registry}: {e}") from None
         return out
@@ -215,7 +213,7 @@ def _surgery_report(
     # The ledgers come first: a fan they refuse is not registered.
     lb = X.ledger_state() if X.is_smooth else None
     la = Y.ledger_state() if Y.is_smooth else None
-    out_path = session.register(new_name, Y, f"{move} of {args.name} {data}")
+    out_path = session.register(new_name, Y)
     report = {
         "move": move,
         "input": args.name,
@@ -313,7 +311,7 @@ def cmd_mmp(session: Session, args) -> int:
                 "steps": [
                     {
                         "move": s.move,
-                        "class": list(s.curve_class.coords),
+                        "class": list(s.curve_class),
                         "kind": s.descriptor.kind,
                         "type_label": s.descriptor.type_label,
                         "circuits": s.circuit_count,

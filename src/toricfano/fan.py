@@ -135,7 +135,7 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={self.n_rays}, max_cones={len(self.max_cones)})"
 
 
-def fan_to_json(fan: Fan, provenance: Optional[str] = None) -> str:
+def fan_to_json(fan: Fan) -> str:
     obj: dict = {
         "dim": fan.dim,
         "rays": [list(r) for r in fan.rays],
@@ -145,8 +145,6 @@ def fan_to_json(fan: Fan, provenance: Optional[str] = None) -> str:
         obj["labels"] = {
             str(i): lab for i, lab in enumerate(fan.labels) if lab is not None
         }
-    if provenance:
-        obj["provenance"] = provenance
     return json.dumps(obj, sort_keys=True)
 
 

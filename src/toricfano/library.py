@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .fan import Fan, fan_from_json
+from .lattice import dot
 from .mori import classified_fixed_divisors
 from .surgery import SurgeryError, blowup, extremal_rays, flip
 from .variety import ToricVariety
@@ -154,23 +155,19 @@ class TowerResult:
         return len(self.flip_classes)
 
 
-def flips_to_fano(
-    X: ToricVariety, *, max_flips: int = 8
-) -> tuple[ToricVariety, list[tuple[int, ...]]]:
+def flips_to_fano(X: ToricVariety) -> tuple[ToricVariety, list[tuple[int, ...]]]:
     """Flip anticanonically negative small extremal rays until the fan
-    is Fano.  Raises when stuck or over the cap."""
+    is Fano.  Raises when stuck or after 8 flips."""
     flipped: list[tuple[int, ...]] = []
     current = X
     while not current.is_fano:
-        if len(flipped) >= max_flips:
-            raise SurgeryError(f"not Fano after {max_flips} flips")
-        mk = current.anticanonical_class.coords
+        if len(flipped) >= 8:
+            raise SurgeryError("not Fano after 8 flips")
+        mk = current.anticanonical_class
         candidates = sorted(
-            c.coords
+            c
             for c, d in extremal_rays(current)
-            if d.kind == "small"
-            and d.flippable
-            and sum(a * b for a, b in zip(mk, c.coords)) < 0
+            if d.kind == "small" and d.flippable and dot(mk, c) < 0
         )
         if not candidates:
             raise SurgeryError("no anticanonically negative flippable ray; stuck")
@@ -179,18 +176,16 @@ def flips_to_fano(
     return current, flipped
 
 
-def two_point_tower(
-    base: ToricVariety, pair: tuple[tuple[int, ...], tuple[int, ...]], *, max_flips: int = 8
-) -> TowerResult:
+def two_point_tower(base: ToricVariety, pair: tuple[tuple[int, ...], tuple[int, ...]]) -> TowerResult:
     """Blow up two torus-fixed points of the base, then flip to Fano."""
     sigma1, sigma2 = pair
     x1 = blowup(base, sigma1)
     x2 = blowup(x1, sigma2)
-    fano, classes = flips_to_fano(x2, max_flips=max_flips)
+    fano, classes = flips_to_fano(x2)
     return TowerResult(
         points=(tuple(sigma1), tuple(sigma2)),
         blown_up=x2,
-        flip_classes=tuple(tuple(c) for c in classes),
+        flip_classes=tuple(classes),
         fano=fano,
     )
 

@@ -73,7 +73,7 @@ from .surgery import (
     flipped_fan,
     ne_cone,
 )
-from .variety import CurveClass, DivisorClass, ToricVariety
+from .variety import ToricVariety
 
 IntVec = tuple[int, ...]
 
@@ -135,7 +135,7 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
         return X._suite
     ne = ne_cone(X)
     nef = ne.dual()
-    walls = [w.curve_class.coords for w in X.walls]
+    walls = [w.curve_class for w in X.walls]
     if any(dot(c, g) < 0 for c in walls for g in nef.generators):
         raise InternalCheckError(
             f"duality failure: a wall class is negative on Nef on fan {X.fan.content_hash()}"
@@ -171,7 +171,7 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
 @dataclass(frozen=True)
 class TraceStep:
     move: str  # "flip" | "contraction"
-    curve_class: CurveClass
+    curve_class: IntVec
     descriptor: ContractionDescriptor
     fan_after: Fan
     circuit_count: int
@@ -199,8 +199,6 @@ def _divisor_vector(X: ToricVariety, divisor: Union[int, Sequence]) -> tuple:
         vec = [0] * X.n_rays
         vec[divisor] = 1
         return tuple(vec)
-    if isinstance(divisor, DivisorClass):
-        return divisor.prime_coefficients
     vec = tuple(divisor)
     if len(vec) != X.n_rays:
         raise MoriError("divisor coefficient vector has wrong length")
@@ -210,12 +208,12 @@ def _divisor_vector(X: ToricVariety, divisor: Union[int, Sequence]) -> tuple:
 def _negative_candidates(X: ToricVariety, vec) -> list[tuple]:
     """D-negative extremal rays sorted by the default policy: most
     negative pairing first, ties by smallest wall index."""
-    coords = X.divisor_class(vec).coords
+    coords = X.divisor_class(vec)
     out = []
     for c, desc in extremal_rays(X):
-        pairing = dot(coords, c.coords)
+        pairing = dot(coords, c)
         if pairing < 0:
-            out.append((pairing, X.walls_by_class[c.coords][0], c, desc))
+            out.append((pairing, X.walls_by_class[c][0], c, desc))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
@@ -231,7 +229,7 @@ def _models(X: ToricVariety) -> dict[Fan, ToricVariety]:
 
 
 def _apply_step(
-    X: ToricVariety, vec, c: CurveClass, desc: ContractionDescriptor, models: dict
+    X: ToricVariety, vec, c: IntVec, desc: ContractionDescriptor, models: dict
 ) -> tuple[TraceStep, ToricVariety, tuple]:
     """Execute one MMP step; returns (step, next variety, next divisor).
     The target's fan is computed first; the next variety is the model in
@@ -241,7 +239,7 @@ def _apply_step(
     if desc.kind == "small":
         if not desc.flippable:
             raise MoriError(
-                f"negative small ray {list(c.coords)} with non-flippable circuit"
+                f"negative small ray {list(c)} with non-flippable circuit"
                 f" {list(desc.relation_sample)} on fan {X.fan.content_hash()}"
             )
         fan2, circuits = flipped_fan(X, c)
@@ -342,7 +340,7 @@ class FixedDivisorReport:
     (``mmp_trace.steps[-1].curve_class``)."""
 
     ray_index: int
-    divisor_class: DivisorClass
+    divisor_class: IntVec
     type_label: str
     outcomes: tuple[str, ...]
     mmp_trace: BirationalTrace
@@ -352,7 +350,7 @@ class FixedDivisorReport:
     def as_dict(self) -> dict:
         return {
             "ray_index": self.ray_index,
-            "class": [str(c) for c in self.divisor_class.coords],
+            "class": [str(c) for c in self.divisor_class],
             "type_label": self.type_label,
             "outcomes": list(self.outcomes),
             "pairing_D_CD": self.pairing_D_CD,
@@ -388,8 +386,9 @@ def classify_fixed_divisor(
     One exhaustive MMP walk: its first trace, the default-policy run,
     supplies the distinguished curve C_D moving in the divisor (the wall
     curve of the terminal contraction, whose class is unchanged by the
-    preceding flips); the whole walk decides uniqueness, and differing
-    outcomes on low Picard number are reported as ambiguous.
+    preceding flips); the whole walk decides uniqueness.  Differing
+    outcomes are reported as ambiguous, and on a Fano X with rho >= 6,
+    where the outcome is unique, they are an engine bug.
     """
     traces = mmp_all_for_divisor(X, r, max_steps=max_steps)
     default = traces[0]
@@ -406,21 +405,21 @@ def classify_fixed_divisor(
         label = labels[0]
     else:
         label = "ambiguous(" + ", ".join(labels) + ")"
-    if X.rho >= 6 and len(labels) > 1:
+    if X.is_fano and X.rho >= 6 and len(labels) > 1:
         raise InternalCheckError(
             f"rho = {X.rho} >= 6 but the MMP outcome is not unique: {labels}"
             f" for the divisor of ray {r} on fan {X.fan.content_hash()}"
         )
-    divisor = X.ray_divisor_class(r)
-    c_d = default.steps[-1].curve_class.coords
+    divisor = X.ray_classes[r]
+    c_d = default.steps[-1].curve_class
     return FixedDivisorReport(
         ray_index=r,
         divisor_class=divisor,
         type_label=label,
         outcomes=tuple(labels),
         mmp_trace=default,
-        pairing_D_CD=dot(divisor.coords, c_d),
-        degK_CD=dot(X.anticanonical_class.coords, c_d),
+        pairing_D_CD=dot(divisor, c_d),
+        degK_CD=dot(X.anticanonical_class, c_d),
     )
 
 
@@ -436,7 +435,7 @@ def _defect_witnesses(X: ToricVariety) -> tuple[int, list[int]]:
     of the wall-curve classes inside each invariant prime divisor."""
     codims = [
         X.rho
-        - rational_rank([list(w.curve_class.coords) for w in X.walls if i in w.shared])
+        - rational_rank([list(w.curve_class) for w in X.walls if i in w.shared])
         for i in range(X.n_rays)
     ]
     delta = max(codims)
@@ -613,7 +612,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     continue
                 if not desc.flippable:
                     excluded.append(
-                        f"non-flippable small ray {list(c.coords)} on {node.fan.content_hash()}"
+                        f"non-flippable small ray {list(c)} on {node.fan.content_hash()}"
                     )
                     continue
                 try:
@@ -632,10 +631,10 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                     fans.append(fan2)
                     nxt.append(ToricVariety(fan2, source=node))
                 j = position[fkey]
-                crossed[(i, c.coords)] = j
+                crossed[(i, c)] = j
                 if (j, i) not in edges:
                     edges.add((i, j))
-                    adjacency.append((i, j, c.coords))
+                    adjacency.append((i, j, c))
         frontier = nxt
     for i, ch in enumerate(chambers):
         if not suite.mov.contains_cone(ch):

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError
 from .lattice import dot, hermite_normal_form, primitive_vector
-from .variety import CurveClass, ToricVariety, Wall
+from .variety import ToricVariety, Wall
 
 IntVec = tuple[int, ...]
 
@@ -179,17 +179,17 @@ def _is_flippable_pattern(relation: IntVec) -> bool:
     return sorted(c for c in relation if c) in ([-1, -1, 1, 1, 1], [-1, -1, -1, 1, 1])
 
 
-def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> list[FlipCircuit]:
+def flip_circuits(X: ToricVariety, curve: Sequence[int]) -> list[FlipCircuit]:
     """Group the walls on a small extremal class into bistellar circuits,
     checking that the class is on a small extremal ray and the
     five-ray unit-coefficient pattern."""
     _require_4fold(X)
-    coords = curve.coords if isinstance(curve, CurveClass) else tuple(curve)
+    coords = tuple(curve)
     ray = primitive_vector(coords) if any(coords) else None
     indices = X.walls_by_class.get(ray)
     if indices is None:
         raise SurgeryError(f"no wall curve on the ray of {coords}")
-    if not any(c.coords == ray and d.kind == "small" for c, d in extremal_rays(X)):
+    if not any(c == ray and d.kind == "small" for c, d in extremal_rays(X)):
         raise SurgeryError(f"class {list(coords)} is not on a small extremal ray")
     by_support: dict[tuple[int, ...], list[Wall]] = {}
     for i in indices:
@@ -217,9 +217,7 @@ def flip_circuits(X: ToricVariety, curve: Union[CurveClass, Sequence[int]]) -> l
     return circuits
 
 
-def flipped_fan(
-    X: ToricVariety, curve: Union[CurveClass, Sequence[int]]
-) -> tuple[Fan, list[FlipCircuit]]:
+def flipped_fan(X: ToricVariety, curve: Sequence[int]) -> tuple[Fan, list[FlipCircuit]]:
     """Bistellar exchange on every circuit of a small extremal class, on
     the fan alone: the cones of each circuit are replaced, every other
     maximal cone and every ray is kept."""
@@ -241,9 +239,7 @@ def flipped_fan(
     return Fan(X.dim, X.fan.rays, tuple(sorted(cones))), circuits
 
 
-def flip(
-    X: ToricVariety, curve: Union[CurveClass, Sequence[int]]
-) -> tuple[ToricVariety, list[FlipCircuit]]:
+def flip(X: ToricVariety, curve: Sequence[int]) -> tuple[ToricVariety, list[FlipCircuit]]:
     """Bistellar exchange on every circuit of a small extremal class:
     ``flipped_fan``, then the model built with X as its source."""
     fan, circuits = flipped_fan(X, curve)
@@ -269,7 +265,7 @@ def ne_cone(X: ToricVariety) -> RationalCone:
     once per variety, and refused when its dual, the nef cone, has
     empty interior: the fan is then not projective."""
     if X._ne is None:
-        ne = RationalCone.from_generators([w.curve_class.coords for w in X.walls], X.rho)
+        ne = RationalCone.from_generators([w.curve_class for w in X.walls], X.rho)
         if ne.dual().dim < X.rho:
             raise SurgeryError("fan is not projective: nef cone has empty interior")
         X._ne = ne
@@ -394,7 +390,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
     )
 
 
-def extremal_rays(X: ToricVariety) -> list[tuple[CurveClass, ContractionDescriptor]]:
+def extremal_rays(X: ToricVariety) -> list[tuple[IntVec, ContractionDescriptor]]:
     """Extremal rays of the cone of curves with their contraction data,
     typed once per variety."""
     if X._extremal_rays is None:
@@ -407,6 +403,6 @@ def extremal_rays(X: ToricVariety) -> list[tuple[CurveClass, ContractionDescript
             indices = X.walls_by_class.get(g)
             if indices is None:
                 raise SurgeryError(f"extremal class {g} carries no wall")
-            out.append((CurveClass(g), _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
+            out.append((g, _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
         X._extremal_rays = tuple(out)
     return list(X._extremal_rays)

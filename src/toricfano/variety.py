@@ -6,7 +6,9 @@ is the saturated relation lattice K = {v in Z^N : sum_i v_i u_i = 0},
 of rank rho = N - n, with the canonical HNF-reduced basis.  A divisor
 class is the pairing vector (k . a) for k running over that basis, so
 divisor-class coordinates and curve-class coordinates pair by plain dot
-product (the pairing matrix in these bases is the identity).
+product (the pairing matrix in these bases is the identity).  Both are
+plain coordinate tuples; intersection numbers take each divisor as its
+coefficient vector a over the rays.
 
 Intersection numbers come from the torus-fixed points, one per maximal
 cone sigma (the Bott residue formula: Edidin-Graham, "Localization in
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError, ValidationReport, validated
@@ -71,37 +73,6 @@ def _as_coords(v: Sequence) -> Coords:
 
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """Element of N^1(X) in the canonical class-group basis, with the
-    coefficients a_i of one divisor sum_i a_i D_i in the class."""
-
-    coords: Coords
-    prime_coefficients: Coords
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(
-            _as_coords(a + b for a, b in zip(self.coords, other.coords)),
-            _as_coords(a + b for a, b in zip(self.prime_coefficients, other.prime_coefficients)),
-        )
-
-    def __rmul__(self, k) -> "DivisorClass":
-        return DivisorClass(
-            _as_coords(k * a for a in self.coords),
-            _as_coords(k * a for a in self.prime_coefficients),
-        )
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """Element of N_1(X) in the basis dual to the class-group basis."""
-
-    coords: Coords
-
-    def __rmul__(self, k) -> "CurveClass":
-        return CurveClass(_as_coords(k * a for a in self.coords))
-
-
-@dataclass(frozen=True)
 class Wall:
     """Codimension-one cone shared by two maximal cones.
 
@@ -115,7 +86,7 @@ class Wall:
     left: int
     right: int
     relation: IntVec
-    curve_class: CurveClass
+    curve_class: IntVec
     degK: int
 
     @property
@@ -166,7 +137,6 @@ class ToricVariety:
         self.is_smooth = all(
             c.passed for c in self.report.checks if c.name == "smoothness"
         )
-        self._ledger: Optional[LedgerState] = None
         self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
         self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
@@ -213,13 +183,12 @@ class ToricVariety:
         if not self.is_smooth:
             raise ValidationError("operation requires a smooth fan")
 
-    def divisor_class(self, coefficients: Sequence) -> DivisorClass:
+    def divisor_class(self, coefficients: Sequence) -> Coords:
         """Class of sum_i a_i D_i for a coefficient vector over the rays."""
         self._require_smooth()
         if len(coefficients) != self.n_rays:
             raise ValueError("coefficient vector has wrong length")
-        coords = _as_coords(dot(k, coefficients) for k in self.curve_basis)
-        return DivisorClass(coords, _as_coords(coefficients))
+        return _as_coords(dot(k, coefficients) for k in self.curve_basis)
 
     @cached_property
     def ray_classes(self) -> tuple[IntVec, ...]:
@@ -228,20 +197,10 @@ class ToricVariety:
         self._require_smooth()
         return tuple(zip(*self.curve_basis))
 
-    def ray_divisor_class(self, i: int) -> DivisorClass:
-        coeffs = [0] * self.n_rays
-        coeffs[i] = 1
-        return DivisorClass(self.ray_classes[i], tuple(coeffs))
-
     @cached_property
-    def anticanonical_class(self) -> DivisorClass:
+    def anticanonical_class(self) -> Coords:
         """Class of the sum of all invariant prime divisors."""
         return self.divisor_class([1] * self.n_rays)
-
-    @staticmethod
-    def pair(d: DivisorClass, c: CurveClass):
-        """Intersection pairing; the identity matrix in these bases."""
-        return dot(d.coords, c.coords)
 
     # -- walls ---------------------------------------------------------
 
@@ -316,10 +275,10 @@ class ToricVariety:
             if any(_combination(coeffs, [rays[j] for j in support])):
                 raise ValidationError(f"wall {facet} relation is not a relation among the rays")
             deg = sum(coeffs)
-            curve = CurveClass(
+            curve = (
                 _combination(coeffs, [section_rows[j] for j in support])
                 if self.is_smooth
-                else tuple([0] * self.rho)
+                else (0,) * self.rho
             )
             out.append(
                 Wall(
@@ -340,8 +299,8 @@ class ToricVariety:
         Walls of class zero (flagged singular fans) are left out."""
         out: dict[IntVec, list[int]] = {}
         for i, w in enumerate(self.walls):
-            if any(w.curve_class.coords):
-                out.setdefault(primitive_vector(w.curve_class.coords), []).append(i)
+            if any(w.curve_class):
+                out.setdefault(primitive_vector(w.curve_class), []).append(i)
         return {c: tuple(ix) for c, ix in out.items()}
 
     @cached_property
@@ -372,15 +331,18 @@ class ToricVariety:
             points.append((c, w, scale, scale * e2))
         return top, tuple(points)
 
-    def _localize(self, divisors: Sequence, c2: bool) -> Fraction:
-        """Bott residue sum of the divisors' product (times c2 when asked):
+    def _localize(self, divisors: Sequence[Sequence], c2: bool) -> Fraction:
+        """Bott residue sum of the product of the divisors, given by their
+        coefficient vectors over the rays (times c2 when asked):
         sum over fixed points of prod_k l_k (e2(w) if c2) / e4(w), with
         l_k = sum_{i in sigma} a^(k)_i w_i.  Rational coefficients are
         cleared first, so the sum is taken in integers.
         """
         vectors, denom = [], 1
         for d in divisors:
-            vec = d.prime_coefficients if isinstance(d, DivisorClass) else _as_coords(d)
+            if len(d) != self.n_rays:
+                raise ValueError("coefficient vector has wrong length")
+            vec = _as_coords(d)
             q = lcm(*(x.denominator for x in vec))
             vectors.append([x.numerator * (q // x.denominator) for x in vec])
             denom *= q
@@ -393,50 +355,44 @@ class ToricVariety:
             total += term
         return Fraction(total, top * denom)
 
-    def intersection_number(self, *divisors: Union[DivisorClass, Sequence]) -> Fraction:
-        """Exact top intersection number of dim-many divisor classes."""
+    def intersection_number(self, *divisors: Sequence) -> Fraction:
+        """Exact top intersection number of dim-many divisors, each given
+        by its coefficient vector over the rays."""
         self._require_smooth()
         if self.dim != 4:
             raise ValidationError("intersection numbers are implemented for 4-folds")
         if len(divisors) != self.dim:
-            raise ValueError(f"need exactly {self.dim} divisor classes")
+            raise ValueError(f"need exactly {self.dim} divisors")
         return self._localize(divisors, c2=False)
 
-    def c2_product(
-        self,
-        d1: Union[DivisorClass, Sequence],
-        d2: Union[DivisorClass, Sequence],
-    ) -> Fraction:
+    def c2_product(self, d1: Sequence, d2: Sequence) -> Fraction:
         """D1 . D2 . c2(X), with c2(X) = e2 of the tangent weights."""
         self._require_smooth()
         if self.dim != 4:
             raise ValidationError("c2 pairing is implemented for 4-folds")
         return self._localize((d1, d2), c2=True)
 
-    def c2_pairing(self, d: Union[DivisorClass, Sequence]) -> Fraction:
+    def c2_pairing(self, d: Sequence) -> Fraction:
         """D^2 . c2(X)."""
         return self.c2_product(d, d)
 
     # -- the anticanonical ledger ---------------------------------------
 
     def ledger_state(self) -> LedgerState:
-        """(chi(-K), (-K)^4, (-K)^2.c2, rho) computed from the fan, once
-        per variety."""
-        if self._ledger is None:
-            mk = self.anticanonical_class
-            deg = self.intersection_number(mk, mk, mk, mk)
-            c2 = self.c2_pairing(mk)
-            if deg.denominator != 1 or c2.denominator != 1:
-                from .mori import InternalCheckError  # mori imports this module
+        """(chi(-K), (-K)^4, (-K)^2.c2, rho) computed from the fan."""
+        mk = [1] * self.n_rays
+        deg = self.intersection_number(mk, mk, mk, mk)
+        c2 = self.c2_pairing(mk)
+        if deg.denominator != 1 or c2.denominator != 1:
+            from .mori import InternalCheckError  # mori imports this module
 
-                raise InternalCheckError(
-                    f"(-K)^4 = {deg} and (-K)^2.c2 = {c2} are not both integers"
-                    f" on fan {self.fan.content_hash()}"
-                )
-            self._ledger = LedgerState.from_geometry(
-                degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
+            raise InternalCheckError(
+                f"(-K)^4 = {deg} and (-K)^2.c2 = {c2} are not both integers"
+                f" on fan {self.fan.content_hash()}"
             )
-        return self._ledger
+        return LedgerState.from_geometry(
+            degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.name or "X"

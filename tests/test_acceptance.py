@@ -102,8 +102,8 @@ def test_criterion_08_cone_dualities_on_corpus():
         assert suite.mov.contains_cone(suite.nef)
         assert suite.eff.contains_cone(suite.mov)
         # The dual descriptions read back against the inputs they came from.
-        walls = [w.curve_class.coords for w in X.walls]
-        classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+        walls = [w.curve_class for w in X.walls]
+        classes = list(X.ray_classes)
         assert set(suite.ne.generators) <= {primitive_vector(c) for c in walls}
         assert set(suite.eff.generators) <= {primitive_vector(c) for c in classes}
         assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
@@ -158,15 +158,10 @@ def test_criterion_10_oracle_equivalence():
     rng = random.Random("acceptance-10")
     for name, (dims, h_rays) in setups.items():
         X = builtin(name)
-        hs = [X.ray_divisor_class(i) for i in h_rays]
+        hs = [[int(j == i) for j in range(X.n_rays)] for i in h_rays]
         for _ in range(20):
             coeffs = [[rng.randint(-3, 3) for _ in dims] for _ in range(4)]
-            divisors = []
-            for a in coeffs:
-                d = a[0] * hs[0]
-                for ai, h in zip(a[1:], hs[1:]):
-                    d = d + ai * h
-                divisors.append(d)
+            divisors = [[sum(ai * h[j] for ai, h in zip(a, hs)) for j in range(X.n_rays)] for a in coeffs]
             assert X.intersection_number(*divisors) == _multinomial_oracle(dims, coeffs)
     _report(10, "intersection numbers match the multinomial oracle (3 x 20 quadruples)")
 
@@ -216,7 +211,7 @@ def test_criterion_12_randomized_property_suites():
     # (c) flip involutions across the chamber graphs.
     for node, c in _all_flips_in_graph(["D3", "R3"]):
         flipped, _ = flip(node, c)
-        back, _ = flip(flipped, [-x for x in c.coords])
+        back, _ = flip(flipped, [-x for x in c])
         assert back.fan.canonical_key() == node.fan.canonical_key()
         cases += 1
 

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import toricfano
 from fan_corruptions import BUILTIN_FANS, corrupted_fans, fan_object
 from toricfano.cli import main
 from toricfano.fan import fan_to_json
@@ -231,6 +235,35 @@ def test_a_non_flippable_negative_ray_names_its_model(capsys, registry):
     for argv in (["fixed", "W"], ["mmp", "W", "--divisor", "2", "--exhaustive"]):
         code, out, err = run(capsys, "--registry", registry, *argv)
         assert (code, out, err) == (2, "", line)
+
+
+def test_fixed_on_a_non_fano_blowup_reports_the_ambiguous_divisor(capsys, registry):
+    # R3 blown up along (7, 8) has rho = 6 and is not Fano; the MMPs of
+    # ray 9 end in two contraction types, which is reported, not refused.
+    code, out, err = run(
+        capsys, "--registry", registry, "--json", "blowup", "R3", "--center", "7,8", "--as", "R3_78"
+    )
+    assert code == 0, err
+    assert json.loads(out)["output_hash"] == "fb664a28d67d869f"
+    code, out, err = run(capsys, "--registry", registry, "--json", "info", "R3_78")
+    assert (code, json.loads(out)["rho"], json.loads(out)["fano"]) == (0, 6, False)
+    code, out, err = run(capsys, "--registry", registry, "--json", "fixed", "R3_78")
+    assert (code, err) == (0, "")
+    labels = {r["ray_index"]: r["type_label"] for r in json.loads(out)["fixed_divisors"]}
+    assert labels[9] == "ambiguous((3,1)^sm, (3,2)^sm)"
+
+
+def test_python_dash_m_toricfano_runs_the_cli():
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "toricfano", "--json", "info", "P4"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["hash"] == "c490d0128ba8b932"
 
 
 def test_fixed_table(capsys, registry):
@@ -544,7 +577,7 @@ def test_register_into_a_missing_subdirectory_is_input_error(tmp_path):
 
     session = Session(registry=tmp_path / "fans")
     with pytest.raises(CliError, match="cannot register 'a/b' in .*No such file or directory"):
-        session.register("a/b", p4(), "test")
+        session.register("a/b", p4())
 
 
 def test_flip_and_involution_via_cli(capsys, registry):

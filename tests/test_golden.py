@@ -74,7 +74,7 @@ def _contract_cases() -> list[str]:
 
 def _flip_cases() -> list[str]:
     return [
-        f"flip {n} --class {','.join(map(str, c.coords))}"
+        f"flip {n} --class {','.join(map(str, c))}"
         for n in sorted(builtin_names())
         for c, d in extremal_rays(builtin(n))
         if d.kind == "small" and d.flippable

@@ -54,8 +54,8 @@ def test_cone_suite_p1xp3_everything_is_the_quadrant():
 def test_cone_suite_bl_pt_p4():
     X = bl_pt_p4()
     suite = cone_suite(X)
-    E = X.ray_divisor_class(5).coords
-    H_minus_E = X.ray_divisor_class(0).coords
+    E = X.ray_classes[5]
+    H_minus_E = X.ray_classes[0]
     assert set(suite.eff.generators) == {E, H_minus_E}
     H = tuple(a + b for a, b in zip(E, H_minus_E))
     assert set(suite.mov.generators) == {H, H_minus_E}
@@ -66,8 +66,8 @@ def test_cone_suite_dualities_hold():
     for X in (p4(), p1xp3(), p2xp2(), bl_pt_p4(), d3()):
         suite = cone_suite(X)
         # The dual descriptions read back against the wall and ray classes.
-        walls = [w.curve_class.coords for w in X.walls]
-        classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+        walls = [w.curve_class for w in X.walls]
+        classes = list(X.ray_classes)
         assert set(suite.ne.generators) <= {primitive_vector(c) for c in walls}
         assert set(suite.eff.generators) <= {primitive_vector(c) for c in classes}
         assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
@@ -455,7 +455,7 @@ CHAMBER_MODELS = _chamber_models()
 def _dd_complement_cones(X):
     """For each 4-subset sigma with independent rays, the cone of the
     classes of the other rays, built by double description."""
-    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+    classes = list(X.ray_classes)
     out = {}
     for sigma in combinations(range(X.n_rays), X.dim):
         if det_int([list(X.fan.rays[i]) for i in sigma]) == 0:
@@ -491,7 +491,7 @@ def test_facet_points_match_the_face_lattice(name, Y, nef):
 
 @pytest.mark.parametrize("name,Y,nef", CHAMBER_MODELS)
 def test_movable_cone_equals_the_intersection_over_every_ray(name, Y, nef):
-    classes = [Y.ray_divisor_class(i).coords for i in range(Y.n_rays)]
+    classes = list(Y.ray_classes)
     mov = RationalCone.from_generators(classes, Y.rho)
     for i in range(Y.n_rays):
         others = [c for j, c in enumerate(classes) if j != i]
@@ -756,7 +756,7 @@ def test_cone_suite_duality_checks_read_the_walls_and_the_ray_classes(monkeypatc
     # Eff without its first extremal ray: dual(Eff) is too big for the rays.
     X = d3()
     from_generators = RationalCone.from_generators
-    eff = from_generators([X.ray_divisor_class(i).coords for i in range(X.n_rays)], X.rho)
+    eff = from_generators(list(X.ray_classes), X.rho)
 
     def corrupted(vectors, ambient_dim=None):
         cone = from_generators(vectors, ambient_dim)

@@ -24,7 +24,7 @@ from toricfano.mori import (
     verify_bounds,
 )
 from toricfano.surgery import blowup, contract, extremal_rays, flip, ne_cone
-from toricfano.variety import CurveClass, ToricVariety
+from toricfano.variety import ToricVariety
 
 CORPUS = ["P4", "P1xP3", "P2xP2", "F2xP2", "Bl_pt_P4", "D3", "B511", "Y_tower", "R3"]
 
@@ -63,13 +63,23 @@ def _product_factors(name):
     }[name]
 
 
+def _unit(X, i):
+    """The coefficient vector of the invariant prime divisor D_i."""
+    return tuple(int(j == i) for j in range(X.n_rays))
+
+
+def _combine(coeffs, vectors):
+    """sum_k coeffs[k] vectors[k], entrywise."""
+    return tuple(sum(a * v[j] for a, v in zip(coeffs, vectors)) for j in range(len(vectors[0])))
+
+
 def _hyperplane_classes(X, name):
     if name == "P4":
-        return [X.ray_divisor_class(0)]
+        return [_unit(X, 0)]
     if name == "P1xP3":
-        return [X.ray_divisor_class(0), X.ray_divisor_class(2)]
+        return [_unit(X, 0), _unit(X, 2)]
     if name == "P2xP2":
-        return [X.ray_divisor_class(0), X.ray_divisor_class(3)]
+        return [_unit(X, 0), _unit(X, 3)]
     raise KeyError(name)
 
 
@@ -83,12 +93,7 @@ def test_intersection_against_multinomial_oracle(name):
         coeffs = [
             [rng.randint(-3, 3) for _ in dims] for _ in range(4)
         ]
-        divisors = []
-        for a in coeffs:
-            d = a[0] * hs[0]
-            for ai, h in zip(a[1:], hs[1:]):
-                d = d + ai * h
-            divisors.append(d)
+        divisors = [_combine(a, hs) for a in coeffs]
         expected = product_oracle(dims, coeffs)
         assert X.intersection_number(*divisors) == expected
 
@@ -103,13 +108,13 @@ def test_intersection_against_multinomial_oracle(name):
 )
 def test_intersection_multilinear_random(quads):
     X = bl_pt_p4()
-    H = X.ray_divisor_class(4)
-    E = X.ray_divisor_class(5)
-    divisors = [a * H + b * E for a, b in quads]
+    H = _unit(X, 4)
+    E = _unit(X, 5)
+    divisors = [_combine((a, b), (H, E)) for a, b in quads]
     v = X.intersection_number(*divisors)
     swapped = [divisors[1], divisors[0], divisors[3], divisors[2]]
     assert X.intersection_number(*swapped) == v
-    doubled = [2 * divisors[0]] + divisors[1:]
+    doubled = [_combine((2,), divisors[:1])] + divisors[1:]
     assert X.intersection_number(*doubled) == 2 * v
 
 
@@ -337,7 +342,7 @@ def _curve_class_from_relation(X, relation):
         sum(x * u[t] for x, u in zip(relation, X.fan.rays)) for t in range(X.dim)
     ):
         raise ValueError("vector is not an integer relation among the rays")
-    return CurveClass(tuple(int(dot(relation, col)) for col in X._section))
+    return tuple(int(dot(relation, col)) for col in X._section)
 
 
 def _reference_walls(X):
@@ -360,7 +365,7 @@ def _reference_walls(X):
             rel[j] = -dot(n, X.fan.rays[other]) * (denom // s)
         g = gcd(*rel)
         rel = tuple(x // g for x in rel)
-        curve = _curve_class_from_relation(X, rel) if X.is_smooth else CurveClass((0,) * X.rho)
+        curve = _curve_class_from_relation(X, rel) if X.is_smooth else (0,) * X.rho
         out.append((rel, curve, sum(rel)))
     return out
 
@@ -373,7 +378,7 @@ def test_curve_class_from_relation_rejects_non_relations():
     X = bl_pt_p4()
     w = X.walls[0]
     assert _curve_class_from_relation(X, w.relation) == w.curve_class
-    assert _curve_class_from_relation(X, [2 * x for x in w.relation]) == 2 * w.curve_class
+    assert _curve_class_from_relation(X, [2 * x for x in w.relation]) == tuple(2 * x for x in w.curve_class)
     not_a_relation = list(w.relation)
     not_a_relation[0] += 1
     with pytest.raises(ValueError):
@@ -460,7 +465,7 @@ def test_flip_involution_across_chamber_graph():
         node = ToricVariety(fan)
         for c in _flippable_classes(node):
             flipped, circuits = flip(node, c)
-            back, _ = flip(flipped, [-x for x in c.coords])
+            back, _ = flip(flipped, [-x for x in c])
             assert back.fan.canonical_key() == node.fan.canonical_key()
             count += 1
     assert count >= 10
@@ -497,7 +502,7 @@ def _chambers_by_weight_walk(X, max_nodes=64):
     """Independent enumeration of the movable-cone chambers: walk facets
     by perturbing a facet point beyond the wall and reading off the
     regular triangulation the perturbed weight selects."""
-    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+    classes = list(X.ray_classes)
     mov = cone_suite(X).mov
 
     def triangulation(w):
@@ -569,8 +574,8 @@ def test_cone_suite_identities_corpus(name):
     X = builtin(name)
     suite = cone_suite(X)
     # The dual descriptions read back against the wall and ray classes.
-    walls = [w.curve_class.coords for w in X.walls]
-    classes = [X.ray_divisor_class(i).coords for i in range(X.n_rays)]
+    walls = [w.curve_class for w in X.walls]
+    classes = list(X.ray_classes)
     assert set(suite.ne.generators) <= {primitive_vector(c) for c in walls}
     assert set(suite.eff.generators) <= {primitive_vector(c) for c in classes}
     assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
@@ -596,7 +601,7 @@ def test_walls_relations2_corpus(name):
 def test_point_count_on_unimodular_quadruples(name):
     X = builtin(name)
     cone = X.fan.max_cones[0]
-    classes = [X.ray_divisor_class(i) for i in cone]
+    classes = [_unit(X, i) for i in cone]
     assert X.intersection_number(*classes) == 1
 
 
@@ -624,7 +629,7 @@ def test_random_blowup_chains_stay_consistent():
                 s = X.ledger_state()
                 assert 12 * (s.chi_minusK - s.chi_O) == 2 * s.degK4 + s.c2K2
             suite = cone_suite(X)
-            walls = [w.curve_class.coords for w in X.walls]
+            walls = [w.curve_class for w in X.walls]
             assert all(dot(c, g) >= 0 for c in walls for g in suite.nef.generators)
             assert suite.eff.contains_cone(suite.mov)
             assert suite.mov.contains_cone(suite.nef)
@@ -664,8 +669,8 @@ def _lattice_points_of_nef(X, coeffs):
 
 def _chi_by_riemann_roch(X, coeffs):
     # chi(D) = (D^4 - 2 K.D^3 + D^2.(K^2 + c2) - D.K.c2) / 24 + chi(O).
-    D = X.divisor_class(coeffs)
-    K = -1 * X.anticanonical_class
+    D = coeffs
+    K = [-1] * X.n_rays
     D4 = X.intersection_number(D, D, D, D)
     KD3 = X.intersection_number(K, D, D, D)
     K2D2 = X.intersection_number(K, K, D, D)
@@ -676,7 +681,7 @@ def _chi_by_riemann_roch(X, coeffs):
 
 def _is_nef(X, coeffs):
     D = X.divisor_class(coeffs)
-    return all(X.pair(D, w.curve_class) >= 0 for w in X.walls)
+    return all(dot(D, w.curve_class) >= 0 for w in X.walls)
 
 
 @pytest.mark.parametrize(

@@ -40,14 +40,14 @@ from toricfano.surgery import (
     looks_like_quadric_cone,
     ne_cone,
 )
-from toricfano.variety import CurveClass, ToricVariety
+from toricfano.variety import ToricVariety
 
 
 def test_blowup_p4_at_point():
     X = blowup(p4(), (0, 1, 2, 3))
     assert X.rho == 2
     assert X.is_fano
-    mk = X.anticanonical_class
+    mk = [1] * X.n_rays
     assert X.intersection_number(mk, mk, mk, mk) == 544
 
 
@@ -169,7 +169,7 @@ def test_d3_has_small_ray_and_32sm_ray_on_exceptional():
     exc = X.n_rays - 1
     rays = extremal_rays(X)
     negative = [
-        (c, d) for c, d in rays if dot(X.ray_divisor_class(exc).coords, c.coords) < 0
+        (c, d) for c, d in rays if dot(X.ray_classes[exc], c) < 0
     ]
     kinds = {d.kind for _, d in negative}
     assert kinds == {"divisorial", "small"}
@@ -220,7 +220,7 @@ def test_flip_involution():
     X = d3()
     small_class = next(c for c, d in extremal_rays(X) if d.kind == "small")
     X2, circ1 = flip(X, small_class)
-    X3, circ2 = flip(X2, [-x for x in small_class.coords])
+    X3, circ2 = flip(X2, [-x for x in small_class])
     assert X3.fan.canonical_key() == X.fan.canonical_key()
     assert len(circ1) == len(circ2) == 1
 
@@ -395,7 +395,7 @@ def _proportional_positive(a, b):
 
 
 def _walls_on_ray(X, coords):
-    return [w for w in X.walls if _proportional_positive(w.curve_class.coords, coords)]
+    return [w for w in X.walls if _proportional_positive(w.curve_class, coords)]
 
 
 def _reference_circuits(X, coords):
@@ -409,13 +409,13 @@ def _reference_circuits(X, coords):
 
 
 def _reference_negative_candidates(X, vec):
-    coords = X.divisor_class(vec).coords
+    coords = X.divisor_class(vec)
     wall_index = {w: i for i, w in enumerate(X.walls)}
     out = []
     for c, desc in extremal_rays(X):
-        pairing = dot(coords, c.coords)
+        pairing = dot(coords, c)
         if pairing < 0:
-            first = min(wall_index[w] for w in _walls_on_ray(X, c.coords))
+            first = min(wall_index[w] for w in _walls_on_ray(X, c))
             out.append((pairing, first, c, desc))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
@@ -426,7 +426,7 @@ def test_extremal_rays_match_the_wall_scan(name):
     X = builtin(name)
     gens = ne_cone(X).generators
     reference = [
-        (CurveClass(g), _analyze_walls_on_ray(X, _walls_on_ray(X, g))) for g in gens
+        (g, _analyze_walls_on_ray(X, _walls_on_ray(X, g))) for g in gens
     ]
     assert extremal_rays(X) == reference
 
@@ -469,9 +469,9 @@ def test_flip_circuits_match_the_wall_scan(name):
     for c, d in extremal_rays(X):
         if d.kind != "small" or not d.flippable:
             continue
-        reference = _reference_circuits(X, c.coords)
+        reference = _reference_circuits(X, c)
         assert flip_circuits(X, c) == reference
-        assert flip_circuits(X, [2 * x for x in c.coords]) == reference
+        assert flip_circuits(X, [2 * x for x in c]) == reference
 
 
 def test_flip_accepts_exactly_the_flippable_small_extremal_rays():
@@ -481,8 +481,8 @@ def test_flip_accepts_exactly_the_flippable_small_extremal_rays():
     assert len(models) == 15
     for fan in models:
         X = ToricVariety(fan)
-        good = {c.coords for c, d in extremal_rays(X) if d.kind == "small" and d.flippable}
-        for cls in {w.curve_class.coords for w in X.walls}:
+        good = {c for c, d in extremal_rays(X) if d.kind == "small" and d.flippable}
+        for cls in {w.curve_class for w in X.walls}:
             try:
                 flip(X, cls)
             except SurgeryError:
@@ -545,7 +545,7 @@ def test_walls_type_smooth_blowdowns_as_trial_contractions_did(walked_models):
     unit_rays = 0
     for X in walked_models:
         for c, d in extremal_rays(X):
-            walls = [X.walls[i] for i in X.walls_by_class[c.coords]]
+            walls = [X.walls[i] for i in X.walls_by_class[c]]
             if d.kind != "divisorial" or len({w.relation for w in walls}) != 1:
                 continue
             if any(x not in (-1, 0, 1) for x in walls[0].relation):
@@ -588,7 +588,7 @@ def test_every_divisorial_ray_contracts_its_own_center(walked_and_blown_up):
         for c, d in extremal_rays(X):
             if d.kind != "divisorial":
                 continue
-            walls = [X.walls[i] for i in X.walls_by_class[c.coords]]
+            walls = [X.walls[i] for i in X.walls_by_class[c]]
             assert {w.positive_rays for w in walls} == {d.center}
             Y = contract(X, d.exc_rays[0], d.center, allow_singular=True)
             assert Y.rho == X.rho - 1

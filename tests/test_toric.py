@@ -19,7 +19,7 @@ from toricfano.fan import (
     fan_to_json,
     validate,
 )
-from toricfano.lattice import dual_basis, primitive_vector, solve_integer, solve_rational
+from toricfano.lattice import dot, dual_basis, primitive_vector, solve_integer, solve_rational
 from toricfano.library import (
     BUILTIN_BUILDERS,
     bl_pt_p4,
@@ -306,70 +306,80 @@ def test_class_group_products_and_blowup():
     assert bl_pt_p4().rho == 2
 
 
+def _unit(X, i):
+    """The coefficient vector of the invariant prime divisor D_i."""
+    return tuple(int(j == i) for j in range(X.n_rays))
+
+
+def _combine(coeffs, vectors):
+    """sum_k coeffs[k] vectors[k], entrywise."""
+    return tuple(sum(a * v[j] for a, v in zip(coeffs, vectors)) for j in range(len(vectors[0])))
+
+
 def test_anticanonical_p4_is_5H():
     X = p4()
-    H = X.ray_divisor_class(0)
-    assert X.anticanonical_class.coords == tuple(5 * h for h in H.coords)
+    H = X.ray_classes[0]
+    assert X.anticanonical_class == tuple(5 * h for h in H)
 
 
 def test_anticanonical_p1xp3():
     X = p1xp3()
-    fiber = X.ray_divisor_class(0)   # {pt} x P3
-    hyper = X.ray_divisor_class(2)   # P1 x hyperplane
+    fiber = X.ray_classes[0]   # {pt} x P3
+    hyper = X.ray_classes[2]   # P1 x hyperplane
     mk = X.anticanonical_class
-    assert mk.coords == (2 * fiber + 4 * hyper).coords
+    assert mk == _combine((2, 4), (fiber, hyper))
 
 
 def test_anticanonical_blowup_formula():
     X = bl_pt_p4()
-    H = X.ray_divisor_class(4)      # pullback hyperplane (the -sum ray)
-    E = X.ray_divisor_class(5)      # exceptional ray, appended last
-    expected = 5 * H + (-3) * E
-    assert X.anticanonical_class.coords == expected.coords
+    H = X.ray_classes[4]      # pullback hyperplane (the -sum ray)
+    E = X.ray_classes[5]      # exceptional ray, appended last
+    expected = _combine((5, -3), (H, E))
+    assert X.anticanonical_class == expected
 
 
 def test_intersection_h4_p4():
     X = p4()
-    H = X.ray_divisor_class(0)
+    H = _unit(X, 0)
     assert X.intersection_number(H, H, H, H) == 1
 
 
 def test_intersection_minus_k_4():
     X = p1xp3()
-    mk = X.anticanonical_class
+    mk = [1] * X.n_rays
     assert X.intersection_number(mk, mk, mk, mk) == 512
     Y = bl_pt_p4()
-    mkY = Y.anticanonical_class
+    mkY = [1] * Y.n_rays
     assert Y.intersection_number(mkY, mkY, mkY, mkY) == 544
-    assert p4().intersection_number(*[p4().anticanonical_class] * 4) == 625
-    assert p2xp2().intersection_number(*[p2xp2().anticanonical_class] * 4) == 486
+    assert p4().intersection_number(*[[1] * p4().n_rays] * 4) == 625
+    assert p2xp2().intersection_number(*[[1] * p2xp2().n_rays] * 4) == 486
 
 
 def test_intersection_symmetry_and_linearity():
     X = bl_pt_p4()
-    a = X.ray_divisor_class(0)
-    b = X.ray_divisor_class(4)
-    c = X.ray_divisor_class(5)
-    d = X.anticanonical_class
+    a = _unit(X, 0)
+    b = _unit(X, 4)
+    c = _unit(X, 5)
+    d = [1] * X.n_rays
     base = X.intersection_number(a, b, c, d)
     for perm in permutations([a, b, c, d]):
         assert X.intersection_number(*perm) == base
-    lhs = X.intersection_number(a + b, b, c, d)
+    lhs = X.intersection_number(_combine((1, 1), (a, b)), b, c, d)
     assert lhs == base + X.intersection_number(b, b, c, d)
-    assert X.intersection_number(3 * a, b, c, d) == 3 * base
+    assert X.intersection_number(_combine((3,), (a,)), b, c, d) == 3 * base
 
 
 def test_point_class_of_maximal_cone():
     X = p1xp3()
     cone = X.fan.max_cones[0]
-    classes = [X.ray_divisor_class(i) for i in cone]
+    classes = [_unit(X, i) for i in cone]
     assert X.intersection_number(*classes) == 1
 
 
 def test_c2_pairing():
-    assert p4().c2_pairing(p4().anticanonical_class) == 250
-    assert p1xp3().c2_pairing(p1xp3().anticanonical_class) == 224
-    assert bl_pt_p4().c2_pairing(bl_pt_p4().anticanonical_class) == 232
+    assert p4().c2_pairing([1] * 5) == 250
+    assert p1xp3().c2_pairing([1] * 6) == 224
+    assert bl_pt_p4().c2_pairing([1] * 6) == 232
 
 
 def test_chi_from_fan():
@@ -395,14 +405,14 @@ def test_walls_p4():
     X = p4()
     ws = X.walls
     assert len(ws) == 10
-    classes = {w.curve_class.coords for w in ws}
+    classes = {w.curve_class for w in ws}
     assert len(classes) == 1
     assert all(w.degK == 5 for w in ws)
 
 
 def test_walls_p1xp3_two_classes():
     X = p1xp3()
-    classes = {w.curve_class.coords for w in X.walls}
+    classes = {w.curve_class for w in X.walls}
     assert len(classes) == 2
 
 
@@ -422,7 +432,7 @@ def test_wall_curve_pairing_matches_relation():
     X = bl_pt_p4()
     for w in X.walls:
         for i in range(X.n_rays):
-            assert X.pair(X.ray_divisor_class(i), w.curve_class) == w.relation[i]
+            assert dot(X.ray_classes[i], w.curve_class) == w.relation[i]
 
 
 def _reference_cone_normals(fan, cone):
@@ -539,10 +549,10 @@ def test_walls_by_class_indexes_each_nonzero_wall_once(name):
     else:
         X = builtin(name)
     indexed = sorted(i for ix in X.walls_by_class.values() for i in ix)
-    assert indexed == [i for i, w in enumerate(X.walls) if any(w.curve_class.coords)]
+    assert indexed == [i for i, w in enumerate(X.walls) if any(w.curve_class)]
     for cls, ix in X.walls_by_class.items():
         assert list(ix) == sorted(ix)
-        assert all(primitive_vector(X.walls[i].curve_class.coords) == cls for i in ix)
+        assert all(primitive_vector(X.walls[i].curve_class) == cls for i in ix)
 
 
 def test_library_imports_first_in_a_fresh_interpreter():
@@ -668,6 +678,15 @@ def test_the_facet_map_is_built_once_per_fan(monkeypatch):
     assert "facets" not in X.report.as_dict()
 
 
+def test_intersections_refuse_a_coefficient_vector_of_the_wrong_length():
+    X = p4()
+    for bad in ([1] * 4, [1] * 6):
+        with pytest.raises(ValueError, match="coefficient vector has wrong length"):
+            X.intersection_number(bad, *[[1] * 5] * 3)
+        with pytest.raises(ValueError, match="coefficient vector has wrong length"):
+            X.c2_pairing(bad)
+
+
 def test_require_smooth_gates():
     rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -2]]
     cones = [[j for j in range(5) if j != i] for i in range(5)]
@@ -679,8 +698,8 @@ def test_require_smooth_gates():
 
 def test_fraction_exactness():
     X = p4()
-    H = X.ray_divisor_class(0)
-    half = Fraction(1, 2) * H
+    H = _unit(X, 0)
+    half = [Fraction(1, 2) * h for h in H]
     assert X.intersection_number(half, half, half, half) == Fraction(1, 16)
 
 
