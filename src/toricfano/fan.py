@@ -82,12 +82,6 @@ class Fan:
     rays: tuple[IntVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[Optional[str], ...]] = field(default=None, compare=False)
-    # Dual bases of maximal cones that a variety on the same rays already
-    # validated, set by ``ToricVariety(fan, source=...)``; ``validate``
-    # checks each before use.
-    carried_bases: Optional[dict[tuple[int, ...], list[IntVec]]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @staticmethod
     def make(
@@ -256,16 +250,6 @@ def _covering_cones(fan: Fan, normals: dict) -> tuple[list[int], list[tuple[int,
     return p, [c for c in fan.max_cones if all(sum(map(mul, n, p)) > 0 for n in normals[c])]
 
 
-def _is_dual_basis(rows: Sequence[IntVec], rays: list[IntVec]) -> bool:
-    """g_i . u_j = delta_ij over the rays: then the rows are the dual
-    basis of a unimodular cone, which is what ``dual_basis`` returns."""
-    return len(rows) == len(rays) and all(
-        len(g) == len(u) and sum(map(mul, g, u)) == (i == j)
-        for i, g in enumerate(rows)
-        for j, u in enumerate(rays)
-    )
-
-
 @lru_cache(maxsize=1024)
 def validate(fan: Fan) -> ValidationReport:
     """Full validation: structure, primitivity, smoothness,
@@ -283,13 +267,7 @@ def validate(fan: Fan) -> ValidationReport:
     maximal cone, its primitive inward facet normals: a cone is
     unimodular exactly when each normal pairs to 1 with its own ray,
     and a degenerate cone has no dual basis.  The determinant is taken
-    only to word the first failing cone's ``|det| = d``.  A cone whose
-    dual basis the fan carries (``carried_bases``, set when a variety is
-    built from a source on the same rays, such as a flip of it, for the
-    cones both fans hold) costs dim^2 dot products instead of an
-    elimination: the carried rows are used when they pass
-    g_i . u_j = delta_ij, which only the dual basis of a unimodular cone
-    does, and the cone is eliminated otherwise.  The report
+    only to word the first failing cone's ``|det| = d``.  The report
     keeps those bases in ``dual_bases`` and the ridge map in ``facets``
     (both left out of ``as_dict``), so a ``ToricVariety`` reads its cone
     normals, walls and fixed points from them instead of building them
@@ -321,13 +299,7 @@ def validate(fan: Fan) -> ValidationReport:
         )
     )
 
-    carried = fan.carried_bases or {}
-    normals = {}
-    for c in fan.max_cones:
-        rows = carried.get(c)
-        if rows is None or not _is_dual_basis(rows, [fan.rays[i] for i in c]):
-            rows = dual_basis([fan.rays[i] for i in c])
-        normals[c] = rows
+    normals = {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
     singular = [
         c
         for c, rows in normals.items()

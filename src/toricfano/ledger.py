@@ -49,7 +49,6 @@ class LedgerState:
     degK4: int
     c2K2: int
     rho: int
-    fano_flag: bool = False
     chi_O: ClassVar[int] = 1
 
     def __post_init__(self):
@@ -62,26 +61,19 @@ class LedgerState:
             )
 
     @staticmethod
-    def from_geometry(degK4: int, c2K2: int, rho: int, fano_flag: bool = False) -> "LedgerState":
+    def from_geometry(degK4: int, c2K2: int, rho: int) -> "LedgerState":
         num = 2 * degK4 + c2K2
         if num % 12 != 0:
             raise LedgerError(
                 f"2*(-K)^4 + (-K)^2.c2 = {num} is not divisible by 12"
             )
-        return LedgerState(num // 12 + LedgerState.chi_O, degK4, c2K2, rho, fano_flag)
-
-    @property
-    def h0_minusK(self) -> int:
-        """h^0(-K); available only while the Fano flag is asserted."""
-        if not self.fano_flag:
-            raise LedgerError("h0(-K) = chi(-K) requires the Fano flag")
-        return self.chi_minusK
+        return LedgerState(num // 12 + LedgerState.chi_O, degK4, c2K2, rho)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.chi_minusK, self.degK4, self.c2K2, self.rho)
 
 
-P4_STATE = LedgerState(126, 625, 250, 1, True)
+P4_STATE = LedgerState(126, 625, 250, 1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ class CurveBlowupData:
 
 def _moved(s: LedgerState, chi: int, deg: int, c2: int, rho: int) -> LedgerState:
     """The state after a move with these deltas of (chi(-K), (-K)^4,
-    (-K)^2.c2, rho); no move keeps the Fano flag."""
+    (-K)^2.c2, rho)."""
     return LedgerState(s.chi_minusK + chi, s.degK4 + deg, s.c2K2 + c2, s.rho + rho)
 
 

@@ -195,6 +195,7 @@ class BirationalTrace:
 
 
 def _divisor_vector(X: ToricVariety, divisor: Union[int, Sequence]) -> tuple:
+    X._require_smooth()
     if isinstance(divisor, int):
         vec = [0] * X.n_rays
         vec[divisor] = 1
@@ -267,11 +268,14 @@ def _apply_step(
     return step, X2, vec2
 
 
-def _mmp_moves(X: ToricVariety, vec: tuple) -> tuple[Optional[str], list[tuple]]:
-    """(outcome, []) when the MMP of ``vec`` ends on X (transform
-    contracted or X singular, transform nef, or a negative fiber-type
-    ray), else (None, the negative rays in default-policy order)."""
-    if not X.is_smooth or not any(vec):
+def _mmp_moves(
+    X: ToricVariety, vec: tuple, contracted: bool
+) -> tuple[Optional[str], list[tuple]]:
+    """(outcome, []) when the MMP of ``vec`` ends on X (after a
+    contraction step, X singular or the transform zero; transform nef;
+    or a negative fiber-type ray), else (None, the negative rays in
+    default-policy order)."""
+    if contracted and (not X.is_smooth or not any(vec)):
         return "contracted", []
     candidates = _negative_candidates(X, vec)
     if not candidates:
@@ -289,7 +293,7 @@ def _walk(
     depth first over the negative rays in default-policy order, so the
     first trace is the default-policy run.  A branch takes at most
     ``max_steps`` steps."""
-    outcome, candidates = _mmp_moves(X, cvec)
+    outcome, candidates = _mmp_moves(X, cvec, bool(steps) and steps[-1].move == "contraction")
     if outcome is not None:
         yield BirationalTrace(start.fan, vec, steps, outcome, X.fan)
         return
@@ -371,7 +375,7 @@ def fixed_prime_divisors(X: ToricVariety) -> list[int]:
         matches = rays_by_class.get(g, [])
         if len(matches) != 1:
             raise InternalCheckError(
-                f"effective face {g} carried by {len(matches)} invariant divisors"
+                f"effective face {list(g)} carried by {len(matches)} invariant divisors"
                 f" on fan {X.fan.content_hash()}"
             )
         rays.append(matches[0])

@@ -188,7 +188,7 @@ def flip_circuits(X: ToricVariety, curve: Sequence[int]) -> list[FlipCircuit]:
     ray = primitive_vector(coords) if any(coords) else None
     indices = X.walls_by_class.get(ray)
     if indices is None:
-        raise SurgeryError(f"no wall curve on the ray of {coords}")
+        raise SurgeryError(f"no wall curve on the ray of {list(coords)}")
     if not any(c == ray and d.kind == "small" for c, d in extremal_rays(X)):
         raise SurgeryError(f"class {list(coords)} is not on a small extremal ray")
     by_support: dict[tuple[int, ...], list[Wall]] = {}
@@ -264,6 +264,7 @@ def ne_cone(X: ToricVariety) -> RationalCone:
     """Cone of effective curves, generated by the wall classes; built
     once per variety, and refused when its dual, the nef cone, has
     empty interior: the fan is then not projective."""
+    X._require_smooth()
     if X._ne is None:
         ne = RationalCone.from_generators([w.curve_class for w in X.walls], X.rho)
         if ne.dual().dim < X.rho:
@@ -402,7 +403,7 @@ def extremal_rays(X: ToricVariety) -> list[tuple[IntVec, ContractionDescriptor]]
         for g in ne.generators:
             indices = X.walls_by_class.get(g)
             if indices is None:
-                raise SurgeryError(f"extremal class {g} carries no wall")
+                raise SurgeryError(f"extremal class {list(g)} carries no wall")
             out.append((g, _analyze_walls_on_ray(X, [X.walls[i] for i in indices])))
         X._extremal_rays = tuple(out)
     return list(X._extremal_rays)

@@ -26,17 +26,16 @@ integer common denominator; a non-integral anticanonical result is an
 engine bug, not a property of the input.
 
 A model built with a ``source`` on the same rays, such as a flip of it,
-starts with what it shares with the source: the dual bases of the
-maximal cones both fans hold (carried on the fan to validation, which
-checks each), the relation lattice basis and its section, and the
-source's walls on ridges whose two maximal cones both fans hold.  The
-model holds its source only until its own walls exist, so models do
-not chain.  A source with other rays is ignored.
+starts with what it shares with the source: the relation lattice basis
+and its section, and the source's walls on ridges whose two maximal
+cones both fans hold.  Validation reads the fan alone.  The model holds
+its source only until its own walls exist, so models do not chain.  A
+source with other rays is ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -122,9 +121,6 @@ class ToricVariety:
         if source is not None and source.fan.rays != fan.rays:
             source = None
         if source is not None:
-            bases = source.report.dual_bases
-            carried = {c: bases[c] for c in fan.max_cones if c in bases}
-            fan = replace(fan, carried_bases=carried)
             # The relation lattice depends on the rays alone; take what the
             # source has computed (a singular source may have no section).
             for key in ("curve_basis", "_section"):
@@ -227,9 +223,9 @@ class ToricVariety:
         dual basis g_i.
 
         On a model built with a source, a ridge whose two maximal cones
-        both fans hold takes the source's wall: the rays, the two cones'
-        dual bases and the section are the source's, so the wall is too
-        when both fans are smooth or both are not.  The source is
+        both fans hold takes the source's wall: the rays, the two cones
+        and the section are the source's, so the wall is too when both
+        fans are smooth or both are not.  The source is
         dropped here, so a model holds none of it once its own walls
         exist.
         """
@@ -296,11 +292,11 @@ class ToricVariety:
     def walls_by_class(self) -> dict[IntVec, tuple[int, ...]]:
         """Indices into ``walls``, ascending, keyed by the primitive curve
         class of the wall: the walls on each ray of the cone of curves.
-        Walls of class zero (flagged singular fans) are left out."""
+        Requires a smooth fan."""
+        self._require_smooth()
         out: dict[IntVec, list[int]] = {}
         for i, w in enumerate(self.walls):
-            if any(w.curve_class):
-                out.setdefault(primitive_vector(w.curve_class), []).append(i)
+            out.setdefault(primitive_vector(w.curve_class), []).append(i)
         return {c: tuple(ix) for c, ix in out.items()}
 
     @cached_property
@@ -390,9 +386,7 @@ class ToricVariety:
                 f"(-K)^4 = {deg} and (-K)^2.c2 = {c2} are not both integers"
                 f" on fan {self.fan.content_hash()}"
             )
-        return LedgerState.from_geometry(
-            degK4=int(deg), c2K2=int(c2), rho=self.rho, fano_flag=self.is_fano
-        )
+        return LedgerState.from_geometry(degK4=int(deg), c2K2=int(c2), rho=self.rho)
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.name or "X"

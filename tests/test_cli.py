@@ -543,6 +543,16 @@ def test_mmp_of_a_divisor_vector_can_end_fiber_type(capsys, registry):
     (trace,) = json.loads(out)["traces"]
     assert trace["outcome"] == "fiber_type" and trace["steps"] == []
 
+
+def test_mmp_of_the_zero_divisor_is_nef(capsys, registry):
+    # "contracted" ends a walk only after a contraction step.
+    code, out, err = run(
+        capsys, "--registry", registry, "--json", "mmp", "D3", "--divisor", "0,0,0,0,0,0,0"
+    )
+    assert code == 0 and err == ""
+    (trace,) = json.loads(out)["traces"]
+    assert trace["outcome"] == "nef" and trace["steps"] == []
+
 def test_blowup_center_that_repeats_a_ray_is_input_error(capsys, registry):
     # 0,0,1 would star-subdivide at 2u0 + u1 into repeated cones.
     code, out, err = run(capsys, "--registry", registry, "blowup", "P4", "--center", "0,0,1")
@@ -635,7 +645,7 @@ def test_flip_class_zero_and_non_primitive(capsys, registry):
     code, out, err = run(capsys, "--registry", registry, "flip", "D3", "--class", "0,0,0")
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "no wall curve on the ray" in err
+    assert err == "error: no wall curve on the ray of [0, 0, 0]\n"
     hashes = []
     for cls, name in (("0,-1,0", "unit"), ("0,-2,0", "double")):
         code, out, _ = run(
@@ -741,6 +751,31 @@ def test_singular_registered_fan_loads_back_flagged(capsys, registry):
     assert obj["smooth"] is False
     assert obj["fano"] is None
     assert "chi_minusK" not in obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mmp", "sing", "--divisor", "0"],
+        ["delta", "sing"],
+        ["contract", "sing", "--ray", "0"],
+        ["flip", "sing", "--class", "1,0"],
+        ["cones", "sing"],
+        ["fixed", "sing"],
+        ["chambers", "sing"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_flagged_singular_fan_is_refused_alike(capsys, registry, argv):
+    run(capsys, "--registry", registry, "flip", "D3", "--class", "0,-1,0", "--as", "g")
+    code, _, err = run(
+        capsys, "--registry", registry,
+        "contract", "g", "--ray", "6", "--allow-singular", "--as", "sing",
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "--registry", registry, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: operation requires a smooth fan\n"
 
 
 def test_analyses_deterministic_across_runs(capsys, registry):

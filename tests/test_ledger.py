@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,7 +41,6 @@ def test_chi_general_hyperplane_p4():
 
 def test_p4_state():
     assert P4_STATE.as_tuple() == (126, 625, 250, 1)
-    assert P4_STATE.h0_minusK == 126
 
 
 def test_identity_enforced():
@@ -55,7 +53,6 @@ def test_identity_enforced():
 def test_point_blowup():
     s = apply_point_blowup(P4_STATE)
     assert s.as_tuple() == (111, 544, 232, 2)
-    assert not s.fano_flag
     assert 12 * (111 - 1) == 2 * 544 + 232
 
 
@@ -223,13 +220,6 @@ def test_run_script_comments_and_curve():
         """
     )
     assert steps[-1].state.as_tuple() == (105, 513, 222, 2)
-
-
-def test_h0_requires_fano_flag():
-    s = apply_point_blowup(P4_STATE)
-    with pytest.raises(LedgerError):
-        _ = s.h0_minusK
-    assert replace(s, fano_flag=True).h0_minusK == 111
 
 
 def test_chi_general_returns_exact_fraction():

@@ -264,7 +264,7 @@ def test_ledger_of_del_pezzo_products_matches_closed_form(s, t):
     assert ledger.c2K2 == k_s * e_t + k_t * e_s + 2 * k_s * k_t
     assert ledger.chi_minusK == (k_s + 1) * (k_t + 1)
     assert ledger.rho == X.rho == e_s + e_t - 4
-    assert X.is_fano and ledger.fano_flag
+    assert X.is_fano
 
 
 # -- stage 0 of the corpus: the 15 products of toric del Pezzo surfaces ---

@@ -36,7 +36,6 @@ from toricfano.surgery import (
     extremal_rays,
     flip,
     flip_circuits,
-    flipped_fan,
     looks_like_quadric_cone,
     ne_cone,
 )
@@ -616,10 +615,10 @@ def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
 
 
 def _fresh(fan):
-    """The variety of an equal fan built from nothing: no carried bases,
-    no cached report."""
+    """The variety of an equal fan built from nothing, with no cached
+    report."""
     validate.cache_clear()
-    return ToricVariety(Fan.make(fan.dim, fan.rays, fan.max_cones))
+    return ToricVariety(fan)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_names()) + ["R3_06"])
@@ -641,7 +640,7 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
     classified_fixed_divisors(X)
     reused = 0
     for source, Y in built:
-        assert Y.fan.carried_bases and Y.curve_basis is source.curve_basis
+        assert Y.curve_basis is source.curve_basis
         walls = Y.walls
         assert Y._source is None  # dropped once the walls exist
         reused += sum(any(w is v for v in source.walls) for w in walls)
@@ -655,45 +654,7 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
     assert reused or not built
 
 
-def _same_report(fan):
-    """The report of ``fan`` equals the report of an equal fan without
-    carried bases, order of the bases and ridge map included."""
-    report = validate.__wrapped__(fan)
-    reference = validate.__wrapped__(Fan.make(fan.dim, fan.rays, fan.max_cones))
-    assert report.checks == reference.checks
-    assert list(report.dual_bases.items()) == list(reference.dual_bases.items())
-    assert list(report.facets.items()) == list(reference.facets.items())
-    return report
-
-
-def test_a_corrupted_carried_basis_gives_the_report_of_a_fresh_build():
-    X = d3()
-    (c,) = [c for c, d in extremal_rays(X) if d.kind == "small"]
-    fan, _ = flipped_fan(X, c)
-    assert fan.carried_bases is None  # the exchange alone carries nothing
-    fan = ToricVariety(fan, source=X).fan
-    carried = fan.carried_bases
-    assert set(carried) < set(fan.max_cones)  # the new cones carry nothing
-    cone, other = sorted(carried)[:2]
-    rows = carried[cone]
-    corruptions = [
-        rows[::-1],
-        [tuple(-x for x in g) for g in rows],
-        rows[:-1],
-        [tuple(2 * x for x in rows[0]), *rows[1:]],
-        [g + (0,) for g in rows],
-        carried[other],
-    ]
-    for bad in corruptions:
-        corrupted = Fan(fan.dim, fan.rays, fan.max_cones, carried_bases={**carried, cone: bad})
-        assert _same_report(corrupted).dual_bases[cone] == rows
-    # Carried bases on fans that fail validation: a ray negated, a ray moved.
-    for k, ray in ((0, tuple(-x for x in fan.rays[0])), (1, tuple(map(sum, zip(*fan.rays[:3]))))):
-        rays = fan.rays[:k] + (ray,) + fan.rays[k + 1:]
-        assert not _same_report(Fan(fan.dim, rays, fan.max_cones, carried_bases=carried)).ok
-
-
-def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_nothing(monkeypatch):
+def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_once_per_cone(monkeypatch):
     from toricfano import fan as fan_module
 
     X = ToricVariety(d3().fan)
@@ -708,7 +669,7 @@ def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_nothing(monk
 
     monkeypatch.setattr(fan_module, "dual_basis", counted)
     Y = ToricVariety(X.fan, source=X)
-    assert Y.report.ok and calls == []
+    assert Y.report.ok and len(calls) == len(X.fan.max_cones)
     assert len(Y.walls) == len(walls) and all(w is v for w, v in zip(Y.walls, walls))
     assert Y.curve_basis is X.curve_basis and Y._section is X._section
     assert Y._source is None
@@ -719,7 +680,7 @@ def test_a_source_with_other_rays_is_ignored():
     Y = blowup(X, X.fan.max_cones[0][:2])
     validate.cache_clear()
     model = ToricVariety(Y.fan, source=X)
-    assert model.fan.carried_bases is None and model._source is None
+    assert model._source is None
     fresh = _fresh(Y.fan)
     assert model.report.checks == fresh.report.checks
     assert list(model.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
@@ -741,7 +702,7 @@ def test_a_source_that_differs_in_smoothness_lends_no_walls():
     for source, target in ((smooth, singular), (singular, smooth)):
         source.walls
         model = ToricVariety(target.fan, allow_singular=True, source=source)
-        assert model.fan.carried_bases and model.is_smooth == target.is_smooth
+        assert model.is_smooth == target.is_smooth
         assert model.walls == target.walls
 
 
@@ -787,10 +748,10 @@ print(counts["models"], counts["dual_basis"], counts["smooth"], counts["walls"])
 """
 
 _WALKS = [
-    ("R3", "chambers", "9 85 9", 9),
-    ("R3", "fixed", "13 131 13", 7),
-    ("D3", "chambers", "2 33 2", 2),
-    ("D3", "fixed", "5 39 4", 2),
+    ("R3", "chambers", "9 224 9", 9),
+    ("R3", "fixed", "13 236 13", 7),
+    ("D3", "chambers", "2 42 2", 2),
+    ("D3", "fixed", "5 48 4", 2),
 ]
 
 
@@ -801,7 +762,8 @@ def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, 
     # (models built, dual_basis eliminations, smooth models built) and
     # the walls computed, on the builtin with its rays in reverse order.
     # Before flipped models inherited, models, eliminations and walls
-    # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.  Walls are computed
+    # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4; validation reads the
+    # fan alone, so the eliminations are those again.  Walls are computed
     # only on the models a walk goes on from, so not on the contraction
     # targets where the fixed-divisor walks end.
     src = str(Path(toricfano.__file__).resolve().parents[1])

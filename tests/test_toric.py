@@ -546,8 +546,10 @@ def test_walls_by_class_indexes_each_nonzero_wall_once(name):
     if name == "singular contraction":
         X = _singular_contraction_of_flipped_d3()
         assert not X.is_smooth and X.walls
-    else:
-        X = builtin(name)
+        with pytest.raises(ValidationError, match="^operation requires a smooth fan$"):
+            X.walls_by_class
+        return
+    X = builtin(name)
     indexed = sorted(i for ix in X.walls_by_class.values() for i in ix)
     assert indexed == [i for i, w in enumerate(X.walls) if any(w.curve_class)]
     for cls, ix in X.walls_by_class.items():
