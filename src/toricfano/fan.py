@@ -8,6 +8,10 @@ the characterisation of a complete simplicial fan read on the sphere
 (De Loera-Rambau-Santos, *Triangulations*, ch. 4): every ridge lies in
 exactly two maximal cones whose opposite rays lie strictly on opposite
 sides of it, and one generic point lies in exactly one maximal cone.
+Smoothness and both geometric checks read one ``dual_basis`` per
+maximal cone, taken from a memo keyed on the cone's rays, so a fan
+that shares cones with one validated before (a flip, a blow-up, the
+next chamber of a walk) eliminates only its new cones.
 
 The JSON wire format is
 ``{"dim": n, "rays": [[int,...],...], "max_cones": [[indices],...]}``
@@ -46,8 +50,9 @@ class ValidationReport:
     checks: tuple[CheckResult, ...]
     # Per maximal cone, its ``dual_basis`` rows, and the fan's
     # ``facets()`` map; empty unless every check ran.  Shared by every
-    # equal fan through ``validate``'s cache, so read only.
-    dual_bases: dict[tuple[int, ...], list[IntVec]] = field(
+    # equal fan through ``validate``'s cache, and each cone's rows by
+    # every report holding the cone, so read only.
+    dual_bases: dict[tuple[int, ...], tuple[IntVec, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
     facets: dict[tuple[int, ...], list[tuple[int, ...]]] = field(
@@ -114,9 +119,8 @@ class Fan:
         """Map facet index-set -> list of maximal cones containing it."""
         out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for c in self.max_cones:
-            for drop in c:
-                facet = tuple(i for i in c if i != drop)
-                out.setdefault(facet, []).append(c)
+            for k in range(len(c)):
+                out.setdefault(c[:k] + c[k + 1 :], []).append(c)
         return out
 
     def canonical_key(self) -> tuple:
@@ -250,6 +254,19 @@ def _covering_cones(fan: Fan, normals: dict) -> tuple[list[int], list[tuple[int,
     return p, [c for c in fan.max_cones if all(sum(map(mul, n, p)) > 0 for n in normals[c])]
 
 
+@lru_cache(maxsize=4096)
+def _cone_normals(rays: tuple[IntVec, ...]) -> tuple[Optional[tuple[IntVec, ...]], bool]:
+    """(``dual_basis`` rows, unimodular) of the cone on ``rays``, in their
+    order; (None, False) for a degenerate cone.  The cone is unimodular
+    exactly when each row pairs to 1 with its own ray.  Cached on the
+    rays, up to 4096 cones; the rows are tuples, shared by every report
+    holding the cone."""
+    rows = dual_basis(rays)
+    if rows is None:
+        return None, False
+    return tuple(rows), all(sum(map(mul, g, u)) == 1 for g, u in zip(rows, rays))
+
+
 @lru_cache(maxsize=1024)
 def validate(fan: Fan) -> ValidationReport:
     """Full validation: structure, primitivity, smoothness,
@@ -273,11 +290,14 @@ def validate(fan: Fan) -> ValidationReport:
     normals, walls and fixed points from them instead of building them
     again.
 
-    Cached on the fan, up to 1024 entries: each is the report of one
-    distinct fan validated in the process, passed or failed, with its
-    dual bases and ridge map.  The walks never build a model twice for
-    one fan (``mori``), so the hits come from a fan read again, such as
-    a request that reads back a fan an earlier surgery registered.
+    Two caches.  Each cone's rows and unimodularity come from
+    ``_cone_normals``, keyed on the cone's rays, so the walks, whose
+    every model shares most of its cones with the one it was built
+    from, eliminate only the cones new to the process.  The report is
+    cached on the fan, up to 1024 entries, passed or failed; the walks
+    never build a model twice for one fan (``mori``), so its hits come
+    from a fan read again, such as a request that reads back a fan an
+    earlier surgery registered.
     """
     checks: list[CheckResult] = []
 
@@ -299,12 +319,9 @@ def validate(fan: Fan) -> ValidationReport:
         )
     )
 
-    normals = {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
-    singular = [
-        c
-        for c, rows in normals.items()
-        if rows is None or any(sum(map(mul, g, fan.rays[i])) != 1 for g, i in zip(rows, c))
-    ]
+    entries = {c: _cone_normals(tuple(fan.rays[i] for i in c)) for c in fan.max_cones}
+    normals = {c: rows for c, (rows, _) in entries.items()}
+    singular = [c for c, (_, unimodular) in entries.items() if not unimodular]
     detail = ""
     if singular:
         c = singular[0]

@@ -61,7 +61,10 @@ def blowup(X: ToricVariety, center: Sequence[int]) -> ToricVariety:
     """Star subdivision at the primitive sum of the center cone's rays.
 
     The center must be a cone of the fan of dimension 2..dim (invariant
-    surface, curve, or point on a 4-fold), given by distinct rays.
+    surface, curve, or point on a 4-fold), given by distinct rays.  The
+    input may be singular, since blowing up its singular cones can
+    resolve them; a result that fails validation raises, naming the
+    blow-up.
     """
     fan = X.fan
     center = tuple(sorted(center))
@@ -88,7 +91,10 @@ def blowup(X: ToricVariety, center: Sequence[int]) -> ToricVariety:
         else:
             cones.append(c)
     new_fan = Fan.make(fan.dim, list(fan.rays) + [list(new_ray)], cones)
-    return ToricVariety(new_fan)
+    try:
+        return ToricVariety(new_fan)
+    except ValidationError as e:
+        raise SurgeryError(f"the blow-up at center {list(center)} fails validation: {e}") from None
 
 
 # -- contraction ------------------------------------------------------

@@ -15,7 +15,8 @@ cone sigma (the Bott residue formula: Edidin-Graham, "Localization in
 equivariant intersection theory and the Bott residue formula", Amer. J.
 Math. 1998; Brion, arXiv:math/9802063).  Each maximal cone carries its
 dual basis: the rows g_i with g_i . u_j = delta_ij over its rays, from
-the one elimination per cone that validation made.  For one integer xi
+validation's per-cone memo, so each distinct cone is eliminated once per
+process and its rows, tuples, are shared by every model holding it.  For one integer xi
 with every g_i . xi nonzero, the tangent weights at the fixed point are
 w_i = g_i . xi, D_j restricts to w_j for j in sigma and to 0 otherwise,
 so D_1 . ... . D_4 = sum_sigma prod_k l_k / e4(w) with

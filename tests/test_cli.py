@@ -778,6 +778,24 @@ def test_a_flagged_singular_fan_is_refused_alike(capsys, registry, argv):
     assert err == "error: operation requires a smooth fan\n"
 
 
+def test_a_blowup_of_a_flagged_singular_fan_resolves_it_or_names_the_result(capsys, registry):
+    # Blowing up the |det| = 2 cone of S gives back the flip it was
+    # contracted from; a blow-up elsewhere keeps that cone, and the
+    # refusal names the blow-up, not the input.
+    run(capsys, "--registry", registry, "flip", "D3", "--class", "0,-1,0", "--as", "g")
+    run(capsys, "--registry", registry, "contract", "g", "--ray", "6", "--allow-singular", "--as", "sing")
+    code, out, err = run(capsys, "--registry", registry, "--json", "blowup", "sing", "--center", "0,3,4,5")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["input_hash"] == "63998c7626e7748f" and obj["output_hash"] == "ca8b5f4f6b59c620"
+    code, out, err = run(capsys, "--registry", registry, "blowup", "sing", "--center", "0,2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the blow-up at center [0, 2] fails validation: "
+        "smoothness: cone [0, 3, 4, 5] has |det| = 2\n"
+    )
+
+
 def test_analyses_deterministic_across_runs(capsys, registry):
     outs = []
     for _ in range(2):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import toricfano
-from toricfano.fan import Fan, validate
+from toricfano.fan import Fan, _cone_normals, validate
 from toricfano.lattice import dot, primitive_vector
 from toricfano.library import (
     bl_pt_p4,
@@ -616,8 +616,9 @@ def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
 
 def _fresh(fan):
     """The variety of an equal fan built from nothing, with no cached
-    report."""
+    report or cone normals."""
     validate.cache_clear()
+    _cone_normals.cache_clear()
     return ToricVariety(fan)
 
 
@@ -657,9 +658,14 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
 def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_once_per_cone(monkeypatch):
     from toricfano import fan as fan_module
 
+    # With both caches cleared, a model eliminates each maximal cone
+    # once; a second model on the fan, with only validation's cache
+    # cleared, reads every cone from the memo (12 eliminations before
+    # the per-cone memo, 0 with it).
     X = ToricVariety(d3().fan)
     walls = X.walls
     validate.cache_clear()
+    _cone_normals.cache_clear()
     calls = []
     eliminate = fan_module.dual_basis
 
@@ -673,12 +679,17 @@ def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_once_per_con
     assert len(Y.walls) == len(walls) and all(w is v for w, v in zip(Y.walls, walls))
     assert Y.curve_basis is X.curve_basis and Y._section is X._section
     assert Y._source is None
+    validate.cache_clear()
+    Z = ToricVariety(X.fan, source=Y)
+    assert Z.report.ok and len(calls) == len(X.fan.max_cones)
+    assert all(Z.report.dual_bases[c] is Y.report.dual_bases[c] for c in X.fan.max_cones)
 
 
 def test_a_source_with_other_rays_is_ignored():
     X = d3()
     Y = blowup(X, X.fan.max_cones[0][:2])
     validate.cache_clear()
+    _cone_normals.cache_clear()
     model = ToricVariety(Y.fan, source=X)
     assert model._source is None
     fresh = _fresh(Y.fan)
@@ -748,10 +759,10 @@ print(counts["models"], counts["dual_basis"], counts["smooth"], counts["walls"])
 """
 
 _WALKS = [
-    ("R3", "chambers", "9 224 9", 9),
-    ("R3", "fixed", "13 236 13", 7),
-    ("D3", "chambers", "2 42 2", 2),
-    ("D3", "fixed", "5 48 4", 2),
+    ("R3", "chambers", "9 77 9", 9),
+    ("R3", "fixed", "13 43 13", 7),
+    ("D3", "chambers", "2 33 2", 2),
+    ("D3", "fixed", "5 19 4", 2),
 ]
 
 
@@ -762,10 +773,13 @@ def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, 
     # (models built, dual_basis eliminations, smooth models built) and
     # the walls computed, on the builtin with its rays in reverse order.
     # Before flipped models inherited, models, eliminations and walls
-    # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4; validation reads the
-    # fan alone, so the eliminations are those again.  Walls are computed
-    # only on the models a walk goes on from, so not on the contraction
-    # targets where the fixed-divisor walks end.
+    # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.  Validation reads
+    # each cone's normals from a memo keyed on its rays, so a model
+    # eliminates only the cones new to the process: 224 -> 77,
+    # 236 -> 43, 42 -> 33 and 48 -> 19 eliminations (the Gale walk's
+    # own eliminations included).  Walls are computed only on the models
+    # a walk goes on from, so not on the contraction targets where the
+    # fixed-divisor walks end.
     src = str(Path(toricfano.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _COUNTS, name, walk],

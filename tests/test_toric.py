@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricfano
 from fan_corruptions import BUILTIN_FANS, corrupted_fans
@@ -15,11 +17,12 @@ from toricfano.cones import RationalCone
 from toricfano.fan import (
     Fan,
     ValidationError,
+    _cone_normals,
     fan_from_json,
     fan_to_json,
     validate,
 )
-from toricfano.lattice import dot, dual_basis, primitive_vector, solve_integer, solve_rational
+from toricfano.lattice import det_int, dot, dual_basis, primitive_vector, solve_integer, solve_rational
 from toricfano.library import (
     BUILTIN_BUILDERS,
     bl_pt_p4,
@@ -644,16 +647,20 @@ def test_each_cone_dual_basis_is_computed_once(monkeypatch):
     monkeypatch.setattr(fan_module, "dual_basis", counting)
     monkeypatch.setattr(variety, "dual_basis", counting, raising=False)
     validate.cache_clear()
+    _cone_normals.cache_clear()
     for expected in (len(fan.max_cones), 0):
         # The second build is of an equal fan, a new object: validation's
-        # cache hands back the same report and its bases.
+        # cache hands back the same report and its bases.  The per-cone
+        # memo is cleared too, so the counts stay 21 then 0 as before it;
+        # left warm, the first build would eliminate nothing (the
+        # builtin's cones are already in it).
         X = ToricVariety(Fan.make(fan.dim, fan.rays, fan.max_cones))
         X.walls
         X.ledger_state()
         ne_cone(X)
         assert len(calls) == expected
         calls.clear()
-    assert X.report.dual_bases == {c: dual_basis([fan.rays[i] for i in c]) for c in fan.max_cones}
+    assert X.report.dual_bases == {c: tuple(dual_basis([fan.rays[i] for i in c])) for c in fan.max_cones}
     assert "dual_bases" not in X.report.as_dict()
 
 
@@ -668,6 +675,7 @@ def test_the_facet_map_is_built_once_per_fan(monkeypatch):
 
     monkeypatch.setattr(Fan, "facets", counting)
     validate.cache_clear()
+    _cone_normals.cache_clear()
     for expected in (1, 0):
         # The second build is of an equal fan, a new object: validation's
         # cache hands back the same report and its ridge map.
@@ -678,6 +686,101 @@ def test_the_facet_map_is_built_once_per_fan(monkeypatch):
         calls.clear()
     assert X.report.facets == facets(fan)
     assert "facets" not in X.report.as_dict()
+
+
+# -- validation's per-cone memo ---------------------------------------------
+
+
+def _fresh_cone_entry(rays):
+    """A cone's entry eliminated afresh, with unimodularity read off the
+    determinant instead of the pairings."""
+    rows = dual_basis(list(rays))
+    if rows is None:
+        return None, False
+    return tuple(rows), abs(det_int(list(rays))) == 1
+
+
+def _reference_facets(fan):
+    out = {}
+    for c in fan.max_cones:
+        for drop in c:
+            out.setdefault(tuple(i for i in c if i != drop), []).append(c)
+    return out
+
+
+def _assert_memo_matches_reference(fan):
+    from toricfano import fan as fan_module
+
+    report = validate(fan)
+    again = validate.__wrapped__(fan)  # every cone now read from the memo
+    with mock.patch.object(fan_module, "_cone_normals", _fresh_cone_entry):
+        ref = validate.__wrapped__(fan)
+    for c in fan.max_cones:
+        key = tuple(fan.rays[i] for i in c)
+        assert _cone_normals(key) == _fresh_cone_entry(key)
+    for got in (report, again):
+        assert got.checks == ref.checks
+        assert list(got.dual_bases.items()) == list(ref.dual_bases.items())
+        assert list(got.facets.items()) == list(ref.facets.items())
+        assert all(again.dual_bases[c] is rows for c, rows in got.dual_bases.items())
+    if ref.dual_bases:
+        assert list(ref.facets.items()) == list(_reference_facets(fan).items())
+    return report
+
+
+@st.composite
+def _relabelled_builtins(draw):
+    """A builtin fan under a random signed permutation of the coordinates
+    and a random permutation of the rays."""
+    fan = BUILTIN_FANS[draw(st.sampled_from(sorted(BUILTIN_FANS)))]
+    axes = draw(st.permutations(range(fan.dim)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=fan.dim, max_size=fan.dim))
+    order = draw(st.permutations(range(fan.n_rays)))
+    where = {old: new for new, old in enumerate(order)}
+    rays = [[s * fan.rays[i][a] for a, s in zip(axes, signs)] for i in order]
+    return Fan.make(fan.dim, rays, [[where[i] for i in c] for c in fan.max_cones])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_builtins())
+def test_the_cone_memo_matches_fresh_elimination_on_relabelled_builtins(fan):
+    assert _assert_memo_matches_reference(fan).ok
+
+
+def test_the_cone_memo_matches_fresh_elimination_on_a_flagged_singular_fan():
+    S = _singular_contraction_of_flipped_d3()
+    assert S.fan.content_hash() == "63998c7626e7748f"
+    report = _assert_memo_matches_reference(S.fan)
+    assert [c.name for c in report.failures()] == ["smoothness"]
+    assert report.dual_bases
+
+
+def test_a_degenerate_cone_has_no_memo_entry_and_fails_face_compatibility():
+    # P4 with its last ray moved to e1 + e2: the cone on e1, e2, e3 and
+    # that ray spans only a hyperplane.
+    f = projective_space_fan(4)
+    rays = [list(r) for r in f.rays]
+    rays[4] = [1, 1, 0, 0]
+    fan = Fan.make(4, rays, f.max_cones)
+    assert _cone_normals(tuple(fan.rays[i] for i in (0, 1, 2, 4))) == (None, False)
+    report = _assert_memo_matches_reference(fan)
+    assert not report.dual_bases and not report.facets
+    (face,) = [c for c in report.checks if c.name == "face_compatibility"]
+    assert face.detail == "a maximal cone is degenerate"
+
+
+def test_models_sharing_a_cone_share_its_rows():
+    from toricfano.surgery import extremal_rays, flip
+
+    X = d3()
+    small_class = next(c for c, d in extremal_rays(X) if d.kind == "small")
+    Y, _ = flip(X, small_class)
+    shared = set(X.fan.max_cones) & set(Y.fan.max_cones)
+    assert shared and shared != set(Y.fan.max_cones)
+    for c in shared:
+        rows = Y.report.dual_bases[c]
+        assert rows is X.report.dual_bases[c]
+        assert type(rows) is tuple and all(type(g) is tuple for g in rows)
 
 
 def test_intersections_refuse_a_coefficient_vector_of_the_wrong_length():
