@@ -16,10 +16,11 @@ from one variety, for any divisor and in either mode, shares one
 registry of the models it reached, keyed by fan and kept on the start
 variety (``_models``).  A step computes the target's fan first
 (``surgery.flipped_fan``, ``surgery.contracted_fan``) and builds a model
-only for a fan the registry does not hold, a flipped one with the model
-it was flipped from as its source; a flip or contraction onto a
+only for a fan the registry does not hold; a flip or contraction onto a
 fan that another branch or walk already reached continues on that
-model, with its walls, cone of curves and extremal rays.  Typing the
+model, with its walls, cone of curves and extremal rays.  A flipped
+model keeps the rays, so it reads every wall a model on those rays
+already built from their shared record (``variety``).  Typing the
 fixed divisors of R3 takes 21 steps onto 12 distinct fans and builds 12
 models; walls are computed on 7, the start and the 6 flipped models a
 walk goes on from, and not on the 6 contraction targets, where the walks
@@ -38,9 +39,9 @@ reconstructed from a chamber-interior weight through the regular
 triangulation it selects, which guards the surgery route with the
 secondary-fan route.  The walk computes each flipped fan first and
 builds a model only for a fan it has not reached, so R3's 9 chambers
-build 8 models beyond the start; each is built with the model it was
-flipped from as its source (``ToricVariety(fan, source=...)``), so it
-reuses what the flip kept.
+build 8 models beyond the start.  Every chamber model is on the start's
+rays, so all of them share one record of the rays, and a wall is built
+once per walk however many chambers hold it (``variety``).
 Every small modification keeps the rays, hence the divisor classes
 (``ToricVariety.ray_classes``), so the Gale-dual membership test
 inverts each complement basis once per walk (``_gale_inverses``) and a
@@ -246,7 +247,7 @@ def _apply_step(
         fan2, circuits = flipped_fan(X, c)
         X2 = models.get(fan2)
         if X2 is None:
-            X2 = models[fan2] = ToricVariety(fan2, source=X)
+            X2 = models[fan2] = ToricVariety(fan2)
         move, vec2, circuit_count = "flip", vec, len(circuits)
     else:
         r = desc.exc_rays[0]
@@ -633,7 +634,7 @@ def mori_chambers(X: ToricVariety, *, max_chambers: int = 512) -> ChamberFan:
                         )
                     position[fkey] = len(fans)
                     fans.append(fan2)
-                    nxt.append(ToricVariety(fan2, source=node))
+                    nxt.append(ToricVariety(fan2))
                 j = position[fkey]
                 crossed[(i, c)] = j
                 if (j, i) not in edges:

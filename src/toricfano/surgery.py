@@ -25,10 +25,11 @@ Flips and contractions come in two steps: the fan-level move
 (``flipped_fan``, ``contracted_fan``) and the model build, so a walk
 that already holds the target's model builds nothing.  A bistellar flip
 replaces only the cones of its circuits (De Loera-Rambau-Santos,
-*Triangulations*, ch. 4) and keeps the rays, so its model is built as
-``ToricVariety(fan, source=X)`` and reuses what X computed for the cones
-the flip kept.  Contractions and blow-ups change the rays and build
-their models from nothing (``contracted_model``).
+*Triangulations*, ch. 4) and keeps the rays, so its model shares X's
+record of the rays and reuses every wall X built on the cones the flip
+kept (``variety``).  Contractions and blow-ups change the rays, so their
+models share nothing with X.  Every surgery keeps the ray labels; a
+blow-up's new ray has none, and a contraction drops its ray's label.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def blowup(X: ToricVariety, center: Sequence[int]) -> ToricVariety:
                 cones.append(tuple(sorted(set(c) - {drop} | {new_index})))
         else:
             cones.append(c)
-    new_fan = Fan.make(fan.dim, list(fan.rays) + [list(new_ray)], cones)
+    labels = dict(enumerate(fan.labels or ()))  # the new ray has none
+    new_fan = Fan.make(fan.dim, list(fan.rays) + [list(new_ray)], cones, labels)
     try:
         return ToricVariety(new_fan)
     except ValidationError as e:
@@ -123,7 +125,8 @@ def _refanned_star(fan: Fan, ray_index: int, center: tuple[int, ...]) -> Fan:
     reindex = {old: old - (old > ray_index) for old in range(fan.n_rays)}
     rays = [list(r) for i, r in enumerate(fan.rays) if i != ray_index]
     cones = [[reindex[i] for i in c] for c in list(keep) + sorted(new_cones)]
-    return Fan.make(fan.dim, rays, cones)
+    labels = {reindex[i]: lab for i, lab in enumerate(fan.labels or ()) if i != ray_index}
+    return Fan.make(fan.dim, rays, cones, labels)
 
 
 def contracted_fan(X: ToricVariety, ray_index: int, center: Sequence[int]) -> Fan:
@@ -242,14 +245,15 @@ def flipped_fan(X: ToricVariety, curve: Sequence[int]) -> tuple[Fan, list[FlipCi
                 f"fan does not contain the cones {missing} of circuit {list(circ.support)}"
             )
         cones = (cones - old) | new
-    return Fan(X.dim, X.fan.rays, tuple(sorted(cones))), circuits
+    return Fan(X.dim, X.fan.rays, tuple(sorted(cones)), X.fan.labels), circuits
 
 
 def flip(X: ToricVariety, curve: Sequence[int]) -> tuple[ToricVariety, list[FlipCircuit]]:
     """Bistellar exchange on every circuit of a small extremal class:
-    ``flipped_fan``, then the model built with X as its source."""
+    ``flipped_fan``, then its model, which shares X's record of the rays
+    and so every wall X built on a cone the flip kept."""
     fan, circuits = flipped_fan(X, curve)
-    return ToricVariety(fan, source=X), circuits
+    return ToricVariety(fan), circuits
 
 
 # -- extremal rays and contraction types -------------------------------

@@ -26,16 +26,18 @@ On a smooth fan the g_i are integers, so the sum is taken over one
 integer common denominator; a non-integral anticanonical result is an
 engine bug, not a property of the input.
 
-A model built with a ``source`` on the same rays, such as a flip of it,
-starts with what it shares with the source: the relation lattice basis
-and its section, and the source's walls on ridges whose two maximal
-cones both fans hold.  Validation reads the fan alone.  The model holds
-its source only until its own walls exist, so models do not chain.  A
-source with other rays is ignored.
+What the rays alone determine sits on one record per set of rays, found
+by the rays in a weak map, so every live model on them shares it and it
+is freed with the last: the relation lattice basis, its section, and
+every wall built on them, keyed by (ridge, left, right, is_smooth), for
+a wall is a function of the rays of its two cones and of the fan's
+smoothness.  A flip, the next chamber of a walk or an equal fan read
+again reuses every wall a model on the rays has built.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -102,38 +104,58 @@ class Wall:
         return tuple(i for i, c in enumerate(self.relation) if c > 0)
 
 
+class _RayRecord:
+    """What the rays alone determine, shared by every live model on them:
+    the relation lattice basis, its section, and the walls computed so
+    far, keyed by (ridge, left, right, is_smooth)."""
+
+    def __init__(self, rays: tuple[IntVec, ...]):
+        self.rays = rays
+        self.walls: dict[tuple, Wall] = {}
+
+    @cached_property
+    def curve_basis(self) -> tuple[IntVec, ...]:
+        """HNF-reduced basis of the relation lattice among the rays."""
+        basis = integer_kernel([list(r) for r in self.rays])
+        rho = len(self.rays) - len(self.rays[0])
+        if len(basis) != rho:
+            raise ValidationError(f"relation lattice has rank {len(basis)}, expected {rho}")
+        return tuple(basis)
+
+    @cached_property
+    def section(self) -> list[IntVec]:
+        """Columns: integer right inverse of the curve-basis matrix K.
+
+        One row HNF U K^T = H: the class lattice is saturated exactly
+        when the top rho x rho block of H is the identity, and then the
+        first rho rows of U are columns s_a with K s_a = e_a.
+        """
+        rho = len(self.curve_basis)
+        h, u = hermite_normal_form(transpose(self.curve_basis))
+        if any(h[i][j] != (i == j) for i in range(rho) for j in range(rho)):
+            raise ValidationError("class lattice is not saturated")
+        return [tuple(u[a]) for a in range(rho)]
+
+
+# The record of each set of rays that some live model holds, keyed on the rays.
+_RECORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class ToricVariety:
-    """A validated fan plus its cached numerical invariants.
+    """A validated fan plus its cached numerical invariants; what its rays
+    alone determine is read from their shared record (module docstring)."""
 
-    ``source`` is a variety whose fan has the same rays, such as the one
-    this fan was flipped from; the new variety reuses what the two fans
-    share (see the module docstring).  A source with other rays is
-    ignored.
-    """
-
-    def __init__(
-        self,
-        fan: Fan,
-        *,
-        allow_singular: bool = False,
-        name: Optional[str] = None,
-        source: Optional["ToricVariety"] = None,
-    ):
-        if source is not None and source.fan.rays != fan.rays:
-            source = None
-        if source is not None:
-            # The relation lattice depends on the rays alone; take what the
-            # source has computed (a singular source may have no section).
-            for key in ("curve_basis", "_section"):
-                if key in source.__dict__:
-                    self.__dict__[key] = source.__dict__[key]
+    def __init__(self, fan: Fan, *, allow_singular: bool = False, name: Optional[str] = None):
         self.fan = fan
         self.name = name
-        self._source = source  # read and dropped by ``walls``
         self.report: ValidationReport = validated(fan, allow_singular=allow_singular)
         self.is_smooth = all(
             c.passed for c in self.report.checks if c.name == "smoothness"
         )
+        record = _RECORDS.get(fan.rays)
+        if record is None:
+            record = _RECORDS[fan.rays] = _RayRecord(fan.rays)
+        self._record = record
         self._extremal_rays: Optional[tuple] = None  # kept by surgery.extremal_rays
         self._ne: Optional[RationalCone] = None  # kept by surgery.ne_cone
         self._suite: Optional[ConeSuite] = None  # kept by mori.cone_suite
@@ -153,28 +175,15 @@ class ToricVariety:
     def rho(self) -> int:
         return self.fan.n_rays - self.fan.dim
 
-    @cached_property
+    @property
     def curve_basis(self) -> tuple[IntVec, ...]:
         """HNF-reduced basis of the relation lattice among the rays."""
-        basis = integer_kernel([list(r) for r in self.fan.rays])
-        if len(basis) != self.rho:
-            raise ValidationError(
-                f"relation lattice has rank {len(basis)}, expected {self.rho}"
-            )
-        return tuple(basis)
+        return self._record.curve_basis
 
-    @cached_property
+    @property
     def _section(self) -> list[IntVec]:
-        """Columns: integer right inverse of the curve-basis matrix K.
-
-        One row HNF U K^T = H: the class lattice is saturated exactly
-        when the top rho x rho block of H is the identity, and then the
-        first rho rows of U are columns s_a with K s_a = e_a.
-        """
-        h, u = hermite_normal_form(transpose(self.curve_basis))
-        if any(h[i][j] != (i == j) for i in range(self.rho) for j in range(self.rho)):
-            raise ValidationError("class lattice is not saturated")
-        return [tuple(u[a]) for a in range(self.rho)]
+        """Columns s_a with K s_a = e_a for the curve-basis matrix K."""
+        return self._record.section
 
     def _require_smooth(self) -> None:
         if not self.is_smooth:
@@ -223,23 +232,10 @@ class ToricVariety:
         inward facet normals, one per ray; on a smooth fan they are the
         dual basis g_i.
 
-        On a model built with a source, a ridge whose two maximal cones
-        both fans hold takes the source's wall: the rays, the two cones
-        and the section are the source's, so the wall is too when both
-        fans are smooth or both are not.  The source is
-        dropped here, so a model holds none of it once its own walls
-        exist.
+        Each wall is read from the record of the rays, and computed and
+        stored there only when no model on the rays has built it.
         """
-        source, self._source = self._source, None
-        kept = {}
-        if source is not None and source.is_smooth == self.is_smooth:
-            cones = set(self.fan.max_cones)
-            kept = {
-                w.shared: w
-                for w in source.walls
-                if tuple(sorted((*w.shared, w.left))) in cones
-                and tuple(sorted((*w.shared, w.right))) in cones
-            }
+        known = self._record.walls
         rays = self.fan.rays
         bases = self.report.dual_bases
         section_rows = list(zip(*self._section)) if self.is_smooth else None
@@ -247,13 +243,15 @@ class ToricVariety:
         for facet, cones in sorted(self.report.facets.items()):
             if len(cones) != 2:
                 raise ValidationError(f"facet {facet} is not a wall")
-            if facet in kept:
-                out.append(kept[facet])
-                continue
             (c1, c2) = cones
             a = next(i for i in c1 if i not in facet)
             b = next(i for i in c2 if i not in facet)
             a, b = min(a, b), max(a, b)
+            key = (facet, a, b, self.is_smooth)
+            wall = known.get(key)
+            if wall is not None:
+                out.append(wall)
+                continue
             basis_cone = c1 if a in c1 else c2
             other = b if a in basis_cone else a
             normals = bases[basis_cone]
@@ -271,22 +269,13 @@ class ToricVariety:
                 raise ValidationError("wall relation is not unimodular on a smooth fan")
             if any(_combination(coeffs, [rays[j] for j in support])):
                 raise ValidationError(f"wall {facet} relation is not a relation among the rays")
-            deg = sum(coeffs)
-            curve = (
-                _combination(coeffs, [section_rows[j] for j in support])
-                if self.is_smooth
-                else (0,) * self.rho
+            curve = (0,) * self.rho
+            if self.is_smooth:
+                curve = _combination(coeffs, [section_rows[j] for j in support])
+            wall = known[key] = Wall(
+                shared=facet, left=a, right=b, relation=tuple(rel), curve_class=curve, degK=sum(coeffs)
             )
-            out.append(
-                Wall(
-                    shared=tuple(facet),
-                    left=a,
-                    right=b,
-                    relation=tuple(rel),
-                    curve_class=curve,
-                    degK=deg,
-                )
-            )
+            out.append(wall)
         return tuple(out)
 
     @cached_property

@@ -10,7 +10,7 @@ import toricfano
 from toricfano.cli import main
 from toricfano.cones import RationalCone, dual_extreme_rays
 from toricfano.fan import Fan, fan_to_json
-from toricfano.lattice import det_int, dot, primitive_vector
+from toricfano.lattice import det_int, dot, primitive_vector, solve_rational
 from toricfano.ledger import apply_point_blowup
 from toricfano.library import (
     bl_pt_p4,
@@ -321,6 +321,45 @@ def test_chamber_cap_names_the_fan():
     with pytest.raises(MoriError) as e:
         mori_chambers(X, max_chambers=8)
     assert str(e.value) == f"chamber enumeration of fan {X.fan.content_hash()} exceeds the cap of 8 chambers"
+
+
+def _v4_fan() -> Fan:
+    """V^4: the rays +-e_1 .. +-e_4 and +-(1, 1, 1, 1), interleaved, and
+    as maximal cones the 30 facets of their convex hull, each the four
+    rays on an affine hyperplane n . x = 1 with n . u <= 1 on every ray."""
+    rays = []
+    for t in range(4):
+        e = tuple(int(s == t) for s in range(4))
+        rays += [e, tuple(-x for x in e)]
+    rays += [(1, 1, 1, 1), (-1, -1, -1, -1)]
+    cones = []
+    for quad in combinations(range(len(rays)), 4):
+        if det_int([rays[i] for i in quad]) == 0:
+            continue
+        n = solve_rational([rays[i] for i in quad], [1, 1, 1, 1])
+        if all(dot(n, u) <= 1 for u in rays):
+            cones.append(quad)
+    return Fan.make(4, rays, cones)
+
+
+def test_the_v4_chamber_walk_stops_at_its_cap_and_builds_each_wall_once(monkeypatch):
+    # Uncapped, the walk finds 2,098 chambers; the cap stops it at 512.
+    # Every chamber model is on V^4's rays and reads its walls from their
+    # shared record, so no wall is constructed twice.
+    from toricfano import variety
+
+    fan = _v4_fan()
+    assert len(fan.max_cones) == 30 and fan.content_hash() == "c7cf421e28ba8107"
+    built, Wall = [], variety.Wall
+
+    def counted(**kwargs):
+        built.append((kwargs["shared"], kwargs["left"], kwargs["right"]))
+        return Wall(**kwargs)
+
+    monkeypatch.setattr(variety, "Wall", counted)
+    with pytest.raises(MoriError, match="exceeds the cap of 512 chambers"):
+        mori_chambers(ToricVariety(fan))
+    assert built and len(set(built)) == len(built)
 
 
 def test_r3_profile():

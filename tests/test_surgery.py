@@ -1,11 +1,14 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import toricfano
+from toricfano import variety
 from toricfano.fan import Fan, _cone_normals, validate
 from toricfano.lattice import dot, primitive_vector
 from toricfano.library import (
@@ -64,6 +67,45 @@ def test_blowup_contract_round_trip():
     Y = blowup(X, (0, 1, 2, 3))
     Z = contract(Y, 5, (0, 1, 2, 3))
     assert Z.fan.canonical_key() == X.fan.canonical_key()
+
+
+def _labelled(fan):
+    """The fan with every ray labelled ``r<index>``."""
+    return Fan.make(fan.dim, fan.rays, fan.max_cones, {i: f"r{i}" for i in range(fan.n_rays)})
+
+
+def test_a_blowup_and_its_contraction_keep_the_ray_labels():
+    X = ToricVariety(_labelled(p4().fan))
+    Y = blowup(X, (0, 1, 2, 3))
+    assert Y.fan.labels == X.fan.labels + (None,)  # the new ray is unlabelled
+    Z = contract(Y, 5, (0, 1, 2, 3))
+    assert Z.fan.labels == X.fan.labels
+    assert Z.fan.content_hash() == X.fan.content_hash() != p4().fan.content_hash()
+    # With the exceptional ray first, its label goes and the rest move down.
+    order = [5, 0, 1, 2, 3, 4]
+    where = {old: new for new, old in enumerate(order)}
+    E = ToricVariety(
+        Fan.make(
+            4,
+            [Y.fan.rays[i] for i in order],
+            [[where[i] for i in c] for c in Y.fan.max_cones],
+            {0: "E", **{where[i]: f"r{i}" for i in range(5)}},
+        )
+    )
+    W = contract(E, 0, (1, 2, 3, 4))
+    assert W.fan.labels == X.fan.labels and W.fan.content_hash() == X.fan.content_hash()
+
+
+def test_flips_and_chamber_walks_keep_the_ray_labels():
+    X = ToricVariety(_labelled(d3().fan))
+    assert X.fan.content_hash() == "3afaf151d3e8828f"
+    c = next(c for c, d in extremal_rays(X) if d.kind == "small")
+    Y, _ = flip(X, c)
+    unlabelled, _ = flip(d3(), c)
+    assert unlabelled.fan.content_hash() == "ca8b5f4f6b59c620"
+    assert Y.fan.labels == X.fan.labels and Y.fan == unlabelled.fan
+    assert Y.fan.content_hash() != unlabelled.fan.content_hash()
+    assert all(f.labels == X.fan.labels for f in mori_chambers(X).fans)
 
 
 def test_contract_exceptional_on_blowup_of_curve():
@@ -611,15 +653,16 @@ def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
     assert three_one == [[-2, 1, 1, 1]] * 3
 
 
-# -- a model built with a source reuses what the two fans share ----------
+# -- models on the same rays share one record of them --------------------
 
 
-def _fresh(fan):
-    """The variety of an equal fan built from nothing, with no cached
-    report or cone normals."""
+def _fresh(fan, **kwargs):
+    """The variety of an equal fan built from nothing: no cached report or
+    cone normals, and a record of its rays of its own."""
     validate.cache_clear()
     _cone_normals.cache_clear()
-    return ToricVariety(fan)
+    variety._RECORDS.clear()
+    return ToricVariety(fan, **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_names()) + ["R3_06"])
@@ -631,37 +674,45 @@ def test_flipped_models_of_the_walks_equal_fresh_builds(name, monkeypatch):
 
     def recording(fan, **kwargs):
         Y = ToricVariety(fan, **kwargs)
-        if kwargs.get("source") is not None:
-            built.append((kwargs["source"], Y))
+        built.append(Y)
         return Y
 
     monkeypatch.setattr(mori, "ToricVariety", recording)
     X = _fresh(start)
     mori_chambers(X)
     classified_fixed_divisors(X)
-    reused = 0
-    for source, Y in built:
-        assert Y.curve_basis is source.curve_basis
-        walls = Y.walls
-        assert Y._source is None  # dropped once the walls exist
-        reused += sum(any(w is v for v in source.walls) for w in walls)
+    # Every model the walks built on one set of rays holds one record of
+    # them, and each wall is one object across all the models holding it.
+    records = {X.fan.rays: X._record}
+    walls, reused = {}, 0
+    for Y in [X] + built:
+        assert records.setdefault(Y.fan.rays, Y._record) is Y._record
+        for w in Y.walls:
+            v = walls.setdefault((Y.fan.rays, w.shared, w.left, w.right, Y.is_smooth), w)
+            assert v is w
+            reused += Y is not X and any(w is u for u in X.walls)
+    assert reused or not built
+    for Y in built:
         fresh = _fresh(Y.fan)
+        assert fresh._record is not Y._record
         assert Y.report.checks == fresh.report.checks and Y.report.ok
         assert list(Y.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
         assert list(Y.report.facets.items()) == list(fresh.report.facets.items())
-        assert walls == fresh.walls
+        assert Y.walls == fresh.walls
         assert Y.curve_basis == fresh.curve_basis and Y._section == fresh._section
         assert Y.ledger_state() == fresh.ledger_state()
-    assert reused or not built
 
 
-def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_once_per_cone(monkeypatch):
+def test_a_model_on_the_rays_of_a_live_model_reuses_every_wall_and_eliminates_once_per_cone(
+    monkeypatch,
+):
     from toricfano import fan as fan_module
 
-    # With both caches cleared, a model eliminates each maximal cone
-    # once; a second model on the fan, with only validation's cache
-    # cleared, reads every cone from the memo (12 eliminations before
-    # the per-cone memo, 0 with it).
+    # With both validation caches cleared, a second model on the fan
+    # eliminates each maximal cone once and reads every wall, the basis
+    # and the section from the first model's record; a third, with only
+    # validation's cache cleared, reads every cone from the memo (12
+    # eliminations before the per-cone memo, 0 with it).
     X = ToricVariety(d3().fan)
     walls = X.walls
     validate.cache_clear()
@@ -674,58 +725,101 @@ def test_a_model_on_its_source_fan_reuses_every_wall_and_eliminates_once_per_con
         return eliminate(m)
 
     monkeypatch.setattr(fan_module, "dual_basis", counted)
-    Y = ToricVariety(X.fan, source=X)
+    Y = ToricVariety(X.fan)
     assert Y.report.ok and len(calls) == len(X.fan.max_cones)
+    assert Y._record is X._record
     assert len(Y.walls) == len(walls) and all(w is v for w, v in zip(Y.walls, walls))
     assert Y.curve_basis is X.curve_basis and Y._section is X._section
-    assert Y._source is None
     validate.cache_clear()
-    Z = ToricVariety(X.fan, source=Y)
+    Z = ToricVariety(X.fan)
     assert Z.report.ok and len(calls) == len(X.fan.max_cones)
     assert all(Z.report.dual_bases[c] is Y.report.dual_bases[c] for c in X.fan.max_cones)
 
 
-def test_a_source_with_other_rays_is_ignored():
+def test_live_models_on_the_same_rays_share_one_record():
+    X = _fresh(d3().fan)
+    Y = ToricVariety(Fan.make(X.fan.dim, X.fan.rays, X.fan.max_cones))
+    c = next(c for c, d in extremal_rays(X) if d.kind == "small" and d.flippable)
+    flipped, _ = flip(X, c)
+    assert X._record is Y._record is flipped._record is variety._RECORDS[X.fan.rays]
+    assert flipped.fan != X.fan
+    # The flip's walls on the cones it kept are the ones X built.
+    kept = set(X.fan.max_cones) & set(flipped.fan.max_cones)
+    on_kept = [
+        w
+        for w in flipped.walls
+        if {tuple(sorted((*w.shared, w.left))), tuple(sorted((*w.shared, w.right)))} <= kept
+    ]
+    assert on_kept and all(any(w is v for v in X.walls) for w in on_kept)
+
+
+def test_a_record_leaves_the_map_with_the_last_model_on_its_rays():
+    # R3 with its rays in reverse order, a set of rays no other test holds.
+    F = builtin("R3").fan
+    order = list(reversed(range(F.n_rays)))
+    where = {old: new for new, old in enumerate(order)}
+    F = Fan.make(F.dim, [F.rays[i] for i in order], [[where[i] for i in c] for c in F.max_cones])
+    gc.collect()
+    assert F.rays not in variety._RECORDS
+    X = ToricVariety(F)
+    Y = ToricVariety(F)
+    X.walls
+    record = weakref.ref(X._record)
+    del X
+    gc.collect()
+    assert variety._RECORDS[F.rays] is record() is Y._record
+    del Y
+    gc.collect()
+    assert record() is None and F.rays not in variety._RECORDS
+
+
+def test_models_on_other_rays_share_nothing():
     X = d3()
+    X.walls
     Y = blowup(X, X.fan.max_cones[0][:2])
-    validate.cache_clear()
-    _cone_normals.cache_clear()
-    model = ToricVariety(Y.fan, source=X)
-    assert model._source is None
+    assert Y._record is not X._record
+    assert not any(w is v for w in Y.walls for v in X.walls)
     fresh = _fresh(Y.fan)
-    assert model.report.checks == fresh.report.checks
-    assert list(model.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
-    assert model.walls == fresh.walls
-    assert model.curve_basis == fresh.curve_basis and model._section == fresh._section
-    assert model.ledger_state() == fresh.ledger_state()
+    assert Y.report.checks == fresh.report.checks
+    assert list(Y.report.dual_bases.items()) == list(fresh.report.dual_bases.items())
+    assert Y.walls == fresh.walls
+    assert Y.curve_basis == fresh.curve_basis and Y._section == fresh._section
+    assert Y.ledger_state() == fresh.ledger_state()
 
 
-def test_a_source_that_differs_in_smoothness_lends_no_walls():
+def test_fans_that_differ_in_smoothness_on_the_same_rays_share_no_walls():
     # P(O + O(1) + O(2)) over P1, and a singular fan on its rays that
     # keeps four of its six cones: the walls between kept cones have a
     # curve class on the smooth fan and none on the singular one.
     from toricfano.library import projective_space_fan, split_bundle_fan
 
-    smooth = ToricVariety(split_bundle_fan(projective_space_fan(1), [[1, 0], [2, 0]]))
+    smooth_fan = split_bundle_fan(projective_space_fan(1), [[1, 0], [2, 0]])
     cones = [[0, 2, 3], [0, 2, 4], [0, 3, 4], [1, 2, 3], [1, 2, 4], [1, 3, 4]]
-    singular = ToricVariety(Fan.make(3, smooth.fan.rays, cones), allow_singular=True)
-    assert not singular.is_smooth and len(set(smooth.fan.max_cones) & set(singular.fan.max_cones)) == 4
-    for source, target in ((smooth, singular), (singular, smooth)):
-        source.walls
-        model = ToricVariety(target.fan, allow_singular=True, source=source)
-        assert model.is_smooth == target.is_smooth
-        assert model.walls == target.walls
+    singular_fan = Fan.make(3, smooth_fan.rays, cones)
+    for first, second in ((smooth_fan, singular_fan), (singular_fan, smooth_fan)):
+        A = _fresh(first, allow_singular=True)
+        A.walls
+        B = ToricVariety(second, allow_singular=True)
+        assert B._record is A._record and A.is_smooth != B.is_smooth
+        pairs = [
+            (w, v)
+            for w in A.walls
+            for v in B.walls
+            if (w.shared, w.left, w.right) == (v.shared, v.left, v.right)
+        ]
+        assert pairs and all(w is not v and w.curve_class != v.curve_class for w, v in pairs)
+        assert B.walls == _fresh(second, allow_singular=True).walls
 
 
 _COUNTS = """
 import sys
-from toricfano import fan, lattice, mori
+from toricfano import fan, lattice, mori, variety
 from toricfano.fan import Fan
 from toricfano.library import builtin
 from toricfano.variety import ToricVariety
 
-counts = {"models": 0, "dual_basis": 0, "smooth": 0, "walls": 0}
-init, eliminate = ToricVariety.__init__, lattice.dual_basis
+counts = {"models": 0, "dual_basis": 0, "smooth": 0, "walls": 0, "built": 0}
+init, eliminate, Wall = ToricVariety.__init__, lattice.dual_basis, variety.Wall
 walls = ToricVariety.__dict__["walls"]
 wall_func = walls.func
 
@@ -742,6 +836,10 @@ def counted_walls(self):
     counts["walls"] += 1
     return wall_func(self)
 
+def counted_wall(**kwargs):
+    counts["built"] += 1
+    return Wall(**kwargs)
+
 name, walk = sys.argv[1:]
 F = builtin(name).fan
 order = list(reversed(range(F.n_rays)))
@@ -749,29 +847,32 @@ where = {old: new for new, old in enumerate(order)}
 F = Fan.make(F.dim, [F.rays[i] for i in order], [[where[i] for i in c] for c in F.max_cones])
 ToricVariety.__init__ = counted_init
 walls.func = counted_walls
+variety.Wall = counted_wall
 fan.dual_basis = mori.dual_basis = counted_dual_basis  # validation and the Gale walk
 X = ToricVariety(F)
-if walk == "chambers":
+if "chambers" in walk:
     mori.mori_chambers(X)
-else:
+if "fixed" in walk:
     mori.classified_fixed_divisors(X)
-print(counts["models"], counts["dual_basis"], counts["smooth"], counts["walls"])
+print(*counts.values())
 """
 
 _WALKS = [
-    ("R3", "chambers", "9 77 9", 9),
-    ("R3", "fixed", "13 43 13", 7),
-    ("D3", "chambers", "2 33 2", 2),
-    ("D3", "fixed", "5 19 4", 2),
+    ("R3", "chambers", "9 77 9", 9, 73),
+    ("R3", "fixed", "13 43 13", 7, 66),
+    ("R3", "chambers+fixed", "21 93 21", 15, 73),
+    ("D3", "chambers", "2 33 2", 2, 31),
+    ("D3", "fixed", "5 19 4", 2, 31),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,walk,counts,walls", _WALKS, ids=[f"{n}-{w}-{c}" for n, w, c, _ in _WALKS]
+    "name,walk,counts,walls,built", _WALKS, ids=[f"{n}-{w}-{c}" for n, w, c, *_ in _WALKS]
 )
-def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, walls):
-    # (models built, dual_basis eliminations, smooth models built) and
-    # the walls computed, on the builtin with its rays in reverse order.
+def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, walls, built):
+    # (models built, dual_basis eliminations, smooth models built), the
+    # models that computed their walls, and the walls constructed, on the
+    # builtin with its rays in reverse order.
     # Before flipped models inherited, models, eliminations and walls
     # read 27 224 9, 22 236 13, 3 42 2 and 6 48 4.  Validation reads
     # each cone's normals from a memo keyed on its rays, so a model
@@ -779,7 +880,12 @@ def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, 
     # 236 -> 43, 42 -> 33 and 48 -> 19 eliminations (the Gale walk's
     # own eliminations included).  Walls are computed only on the models
     # a walk goes on from, so not on the contraction targets where the
-    # fixed-divisor walks end.
+    # fixed-divisor walks end.  Each model reads its walls from the
+    # record of its rays that every model on them shares, so a wall is
+    # constructed once however many models hold it: 98 -> 73, 84 -> 66
+    # and 140 -> 73 on R3 (chambers, fixed, chambers then fixed) against
+    # a flipped model reusing only its parent's walls; D3 reads 31 either
+    # way.
     src = str(Path(toricfano.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _COUNTS, name, walk],
@@ -789,4 +895,4 @@ def test_walks_build_one_model_per_fan_from_a_fresh_process(name, walk, counts, 
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == counts.split() + [str(walls)]
+    assert done.stdout.split() == counts.split() + [str(walls), str(built)]

@@ -36,7 +36,7 @@ from toricfano.library import (
     p4,
     projective_space_fan,
 )
-from toricfano.variety import ToricVariety
+from toricfano.variety import ToricVariety, _RayRecord
 
 
 def test_p4_fan_validates():
@@ -605,8 +605,11 @@ def test_section_matches_per_column_solves(name):
 def test_section_rejects_a_non_saturated_basis():
     # A kernel basis is always saturated, so plant one that is not: twice
     # the relation of P4 has no integer right inverse.
+    # The basis goes on a record of P4's rays of X's own, off the shared
+    # map, so no other model on those rays reads it.
     X = ToricVariety(projective_space_fan(4))
-    X.__dict__["curve_basis"] = ((2, 2, 2, 2, 2),)
+    X._record = _RayRecord(X.fan.rays)
+    X._record.__dict__["curve_basis"] = ((2, 2, 2, 2, 2),)
     assert _reference_section(X) == [None]
     with pytest.raises(ValidationError, match="class lattice is not saturated"):
         X._section
