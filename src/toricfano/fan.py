@@ -22,7 +22,6 @@ cones sorted lexicographically, keys sorted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,6 +29,18 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import det_int, dual_basis, vector_gcd
+
+# The standard digest library maps OpenSSL's libcrypto on import
+# (3.7 MB resident); the interpreter's builtin module gives the same
+# SHA-256 for about 0.25 MB, as CPython's own random.py does.  The
+# standard library is the last resort, for an interpreter without it.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 IntVec = tuple[int, ...]
 
@@ -127,7 +138,14 @@ class Fan:
         return (self.dim, self.rays, self.max_cones)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(fan_to_json(self).encode()).hexdigest()[:16]
+        """The first 16 hex digits of the SHA-256 of ``fan_to_json(self)``.
+
+        The canonical JSON includes the labels, so relabelling a ray
+        changes the hash.  The digest comes from the interpreter's
+        builtin SHA-256 module, so no process that names a model loads
+        OpenSSL.
+        """
+        return sha256(fan_to_json(self).encode()).hexdigest()[:16]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Fan(dim={self.dim}, rays={self.n_rays}, max_cones={len(self.max_cones)})"

@@ -127,6 +127,10 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
     checked against the wall and ray classes and the chain identities
     checked between the cones.
 
+    A failed check names the fan and its witness: the wall or ray
+    class and the generator it is negative on, or the generator of the
+    smaller cone that lies outside the larger.
+
     Mov is the intersection over the rays i of cone(classes j != i).
     Dropping a class keeps all of Eff unless that class alone spans an
     extremal ray of Eff (Eff is pointed: X is projective), so only
@@ -137,16 +141,22 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
     ne = ne_cone(X)
     nef = ne.dual()
     walls = [w.curve_class for w in X.walls]
-    if any(dot(c, g) < 0 for c in walls for g in nef.generators):
+    bad = next(((c, g) for c in walls for g in nef.generators if dot(c, g) < 0), None)
+    if bad is not None:
         raise InternalCheckError(
-            f"duality failure: a wall class is negative on Nef on fan {X.fan.content_hash()}"
+            f"duality failure: a wall class is negative on Nef on fan {X.fan.content_hash()}:"
+            f" wall class {list(bad[0])} on Nef generator {list(bad[1])}"
         )
     classes = X.ray_classes
     eff = RationalCone.from_generators(classes, X.rho)
     mov_curves = eff.dual()
-    if any(dot(c, g) < 0 for c in classes for g in mov_curves.generators):
+    bad = next(
+        ((i, g) for i, c in enumerate(classes) for g in mov_curves.generators if dot(c, g) < 0), None
+    )
+    if bad is not None:
         raise InternalCheckError(
-            f"duality failure: a ray class is negative on dual(Eff) on fan {X.fan.content_hash()}"
+            f"duality failure: a ray class is negative on dual(Eff) on fan {X.fan.content_hash()}:"
+            f" class {list(classes[bad[0]])} of ray {bad[0]} on dual(Eff) generator {list(bad[1])}"
         )
     rays_by_class = _rays_by_class(X)
     extra = []
@@ -157,10 +167,12 @@ def cone_suite(X: ToricVariety) -> ConeSuite:
             extra += dual_extreme_rays(others, X.rho)
     normals = list(eff.facet_normals) + extra
     mov = RationalCone.from_generators(normals, X.rho).dual() if extra else eff
-    for small, big, names in ((nef, mov, "Nef <= Mov"), (mov, eff, "Mov <= Eff")):
-        if not big.contains_cone(small):
+    for small, big, inner, outer in ((nef, mov, "Nef", "Mov"), (mov, eff, "Mov", "Eff")):
+        outside = next((g for g in small.generators if not big.contains(g)), None)
+        if outside is not None:
             raise InternalCheckError(
-                f"cone chain Nef <= Mov <= Eff violated on fan {X.fan.content_hash()}: not {names}"
+                f"cone chain Nef <= Mov <= Eff violated on fan {X.fan.content_hash()}:"
+                f" not {inner} <= {outer}: {inner} generator {list(outside)} is not in {outer}"
             )
     X._suite = ConeSuite(nef=nef, mov=mov, eff=eff, ne=ne, mov_curves=mov_curves)
     return X._suite

@@ -266,6 +266,43 @@ def test_python_dash_m_toricfano_runs_the_cli():
     assert json.loads(done.stdout)["hash"] == "c490d0128ba8b932"
 
 
+def test_no_command_that_prints_a_hash_loads_openssl(registry):
+    # hashlib maps OpenSSL's libcrypto, 3.7 MB resident, on import.
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from toricfano import cli\n"
+        "hashes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    hashes.append(out.getvalue())\n"
+        "print(json.dumps([sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)), hashes]))\n"
+    )
+    commands = [
+        ["--json", "info", "R3"],
+        ["--json", "chambers", "R3"],
+        ["--json", "mmp", "D3", "--divisor", "6", "--exhaustive"],
+        ["--registry", registry, "--json", "blowup", "P4", "--center", "0,1,2,3", "--as", "Y"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    loaded, outputs = json.loads(done.stdout)
+    assert loaded == []
+    info, chambers, mmp, blowup = map(json.loads, outputs)
+    assert info["hash"] == "f04e1170cac0916e" and info["hash"] in chambers["nodes"]
+    assert mmp["traces"] and all(s["fan_after"] for t in mmp["traces"] for s in t["steps"])
+    assert (blowup["input_hash"], blowup["output_hash"]) == ("c490d0128ba8b932", "87fbc32871276ade")
+
+
 def test_fixed_table(capsys, registry):
     code, out, _ = run(capsys, "--registry", registry, "fixed", "Bl_pt_P4")
     assert code == 0

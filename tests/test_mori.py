@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -468,10 +470,14 @@ def test_internal_check_failures_name_the_fan(monkeypatch, capsys, tmp_path):
 def test_cone_chain_failure_names_the_fan(monkeypatch):
     from toricfano import mori
 
+    # Every cone claims to miss one generator of Nef.
     X = p2xp2()
-    monkeypatch.setattr(RationalCone, "contains_cone", lambda self, other: False)
-    with pytest.raises(mori.InternalCheckError, match=f"on fan {X.fan.content_hash()}: not Nef <= Mov"):
+    outside = ne_cone(X).dual().generators[-1]
+    contains = RationalCone.contains
+    monkeypatch.setattr(RationalCone, "contains", lambda self, v: tuple(v) != outside and contains(self, v))
+    with pytest.raises(mori.InternalCheckError, match=f"on fan {X.fan.content_hash()}: not Nef <= Mov") as e:
         cone_suite(X)
+    assert str(e.value).endswith(f": Nef generator {list(outside)} is not in Mov")
 
 
 # -- test-only references for the chamber walk's cross-checks ------------
@@ -788,8 +794,12 @@ def test_cone_suite_duality_checks_read_the_walls_and_the_ray_classes(monkeypatc
     X = d3()
     ne = ne_cone(X)
     monkeypatch.setattr(mori, "ne_cone", lambda Y: RationalCone.from_generators(ne.generators[1:], Y.rho))
-    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* Nef on fan {X.fan.content_hash()}"):
+    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* Nef on fan {X.fan.content_hash()}") as e:
         cone_suite(X)
+    c, g = _witness(r": wall class (\[.*\]) on Nef generator (\[.*\])$", e.value)
+    assert c in [w.curve_class for w in X.walls]
+    assert g in RationalCone.from_generators(ne.generators[1:], X.rho).dual().generators
+    assert dot(c, g) < 0
     monkeypatch.undo()
 
     # Eff without its first extremal ray: dual(Eff) is too big for the rays.
@@ -802,9 +812,19 @@ def test_cone_suite_duality_checks_read_the_walls_and_the_ray_classes(monkeypatc
         return from_generators(eff.generators[1:], ambient_dim) if cone == eff else cone
 
     monkeypatch.setattr(RationalCone, "from_generators", staticmethod(corrupted))
-    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* dual\\(Eff\\) on fan {X.fan.content_hash()}"):
+    with pytest.raises(mori.InternalCheckError, match=f"duality failure: .* dual\\(Eff\\) on fan {X.fan.content_hash()}") as e:
         cone_suite(X)
+    c, i, g = _witness(r": class (\[.*\]) of ray (\d+) on dual\(Eff\) generator (\[.*\])$", e.value)
+    assert c == X.ray_classes[i]
+    assert g in from_generators(eff.generators[1:], X.rho).dual().generators
+    assert dot(c, g) < 0
 
+
+def _witness(pattern, error):
+    """The vectors and indices a failure message ends with."""
+    match = re.search(pattern, str(error))
+    assert match, str(error)
+    return [tuple(json.loads(x)) if x.startswith("[") else int(x) for x in match.groups()]
 
 
 def test_smooth_label_on_a_singular_contraction_is_an_internal_error(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -748,6 +749,54 @@ def _relabelled_builtins(draw):
 @given(_relabelled_builtins())
 def test_the_cone_memo_matches_fresh_elimination_on_relabelled_builtins(fan):
     assert _assert_memo_matches_reference(fan).ok
+
+
+def _reference_hash(fan):
+    """The content hash through the standard library's SHA-256."""
+    return hashlib.sha256(fan_to_json(fan).encode()).hexdigest()[:16]
+
+
+def test_content_hash_is_the_sha256_of_the_canonical_json():
+    from toricfano.surgery import blowup, contract, flip
+
+    labelled = [
+        Fan.make(f.dim, f.rays, f.max_cones, {i: f"r{i}" for i in range(f.n_rays)}) for f in BUILTIN_FANS.values()
+    ]
+    assert all(f.content_hash() != g.content_hash() for f, g in zip(BUILTIN_FANS.values(), labelled))
+    Y = blowup(p4(), (0, 1, 2, 3))
+    moved = [Y.fan, flip(d3(), (0, -1, 0))[0].fan, contract(Y, 5, (0, 1, 2, 3)).fan]
+    assert [f.content_hash() for f in moved] == ["87fbc32871276ade", "ca8b5f4f6b59c620", "c490d0128ba8b932"]
+    for fan in [*BUILTIN_FANS.values(), *labelled, *moved]:
+        assert fan.content_hash() == _reference_hash(fan)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_relabelled_builtins())
+def test_content_hash_is_the_sha256_of_the_canonical_json_on_relabelled_builtins(fan):
+    assert fan.content_hash() == _reference_hash(fan)
+
+
+def test_content_hash_falls_back_to_the_standard_library_without_the_builtin_module():
+    src = str(Path(toricfano.__file__).resolve().parents[1])
+    code = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from toricfano import fan\n"
+        "from toricfano.library import builtin, builtin_names\n"
+        "assert fan.sha256 is hashlib.sha256\n"
+        "print(json.dumps({n: builtin(n).fan.content_hash() for n in builtin_names()}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    hashes = json.loads(done.stdout)
+    assert hashes == {name: fan.content_hash() for name, fan in BUILTIN_FANS.items()}
+    assert hashes["R3"] == "f04e1170cac0916e"
 
 
 def test_the_cone_memo_matches_fresh_elimination_on_a_flagged_singular_fan():
