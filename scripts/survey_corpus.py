@@ -1,5 +1,7 @@
 """Survey every builtin fan: Picard number, Fano flag, anticanonical
-ledger, Lefschetz defect, fixed-divisor census, chamber count.
+ledger, Lefschetz defect, fixed-divisor census, chamber count, and one
+line of its divisorial extremal rays: the exceptional ray and label,
+with E's relation coefficient in brackets on a contraction to a point.
 
 Usage:  python3 scripts/survey_corpus.py
 """
@@ -15,6 +17,17 @@ from toricfano.mori import (
     lefschetz_defect,
     mori_chambers,
 )
+from toricfano.surgery import extremal_rays
+
+
+def divisorial_rays(X) -> str:
+    out = []
+    for _, d in extremal_rays(X):
+        if d.kind == "divisorial":
+            (e,) = d.exc_rays
+            k = f"[{d.relation_sample[e]}]" if d.image_dim == 0 else ""
+            out.append(f"{e}:{d.type_label}{k}")
+    return ", ".join(out) or "none"
 
 
 def main() -> None:
@@ -39,6 +52,7 @@ def main() -> None:
         )
         if types:
             print(f"{'':<10}   fixed divisors: {types}")
+        print(f"{'':<10}   divisorial rays: {divisorial_rays(X)}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ when it has two or more rays.  The relation alone types a divisorial
 ray (Reid 1983): it is a smooth blow-down exactly when its walls carry
 one relation u_E = u_1 + ... + u_c and every cone of the star of E
 misses exactly one center ray, so the star re-fans over {1..c}; no
-contraction is built to decide it.  Every divisorial ray carries its
+contraction is built to decide it.  On a point contraction E is P3
+(Reid, section 2: a fake weighted projective space, here smooth), so
+the relation is k u_E = u_1 + ... + u_4 and the label is (3,0)^sm
+exactly when k = 1, else (3,0)_other; E is never a quadric, smooth
+(not toric) or singular (not smooth).  Every divisorial ray carries its
 center, the positive support of its relation (Reid: the relation fixes
 the contraction), and ``contract`` re-fans the star over exactly that
 center.  The flippable small pattern is a five-ray circuit with unit
@@ -40,7 +44,7 @@ from typing import Optional, Sequence
 
 from .cones import RationalCone
 from .fan import Fan, ValidationError
-from .lattice import dot, hermite_normal_form, primitive_vector
+from .lattice import primitive_vector
 from .variety import ToricVariety, Wall
 
 IntVec = tuple[int, ...]
@@ -262,7 +266,7 @@ def flip(X: ToricVariety, curve: Sequence[int]) -> tuple[ToricVariety, list[Flip
 @dataclass(frozen=True)
 class ContractionDescriptor:
     kind: str  # fiber_type | divisorial | small
-    type_label: Optional[str]  # set on every divisorial ray, else None
+    type_label: Optional[str]  # divisorial rays: (3,2)^sm (3,1)^sm (3,0)^sm (3,2) (3,1) (3,0)_other
     exc_rays: tuple[int, ...]
     image_dim: int
     center: Optional[tuple[int, ...]] = None
@@ -283,55 +287,10 @@ def ne_cone(X: ToricVariety) -> RationalCone:
     return X._ne
 
 
-def divisor_link_fan(X: ToricVariety, ray_index: int) -> Fan:
-    """The fan of the invariant divisor D_r: the star of the ray
-    projected along it.  The row HNF of the primitive ray u gives a
-    unimodular U with U u = e_1, so U's other rows map N/Zu onto
-    Z^(dim-1)."""
-    fan = X.fan
-    _, U = hermite_normal_form([[x] for x in fan.rays[ray_index]])
-    link_rays: list[IntVec] = []
-    index_map: dict[int, int] = {}
-    cones = []
-    for c in fan.max_cones:
-        if ray_index not in c:
-            continue
-        quotient_cone = []
-        for i in c:
-            if i == ray_index:
-                continue
-            if i not in index_map:
-                index_map[i] = len(link_rays)
-                link_rays.append(primitive_vector([dot(row, fan.rays[i]) for row in U[1:]]))
-            quotient_cone.append(index_map[i])
-        cones.append(sorted(quotient_cone))
-    return Fan.make(fan.dim - 1, [list(r) for r in link_rays], cones)
-
-
-def looks_like_quadric_cone(fan3: Fan) -> bool:
-    """Shape test on the rays of a 3-dimensional fan: exactly five rays,
-    four of which, say a, b, c, d, satisfy a + b = c + d, as the rays of
-    (a simplicial subdivision of) the projective cone over a smooth
-    quadric surface do.
-
-    The cones are not read, so smooth fans pass too: on the smooth
-    X = P_{P1}(O + O(1) + O(1)) x P1 the links of the divisors of rays 5
-    and 6 both pass.  So the label ``(3,0)^Q`` says, on toric input,
-    only that the link of the contracted divisor has the rays of a
-    quadric cone.
-    """
-    if fan3.dim != 3 or fan3.n_rays != 5:
-        return False
-    for quad in combinations(range(5), 4):
-        rays = [fan3.rays[i] for i in quad]
-        for pairing in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
-            a, b, c, d = (rays[k] for k in pairing)
-            if all(a[t] + b[t] == c[t] + d[t] for t in range(3)):
-                return True
-    return False
-
-
 def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> ContractionDescriptor:
+    """Type an extremal ray from its walls' relation.  E of a point
+    contraction is P3 (Reid 1983, section 2), so the ray is (3,0)^sm
+    exactly when E's coefficient is -1, else (3,0)_other."""
     rel_sample = walls_on_ray[0].relation
     negatives = [w.negative_rays for w in walls_on_ray]
     positives = [w.positive_rays for w in walls_on_ray]
@@ -366,20 +325,11 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
                 _image_cones(X.fan, r, center)
             except SurgeryError:
                 smooth = False
-        if smooth:
-            # u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
-            label = f"(3,{image_dim})^sm"
-        elif image_dim == 0:
-            label = (
-                "(3,0)^Q"
-                if looks_like_quadric_cone(divisor_link_fan(X, r))
-                else "(3,0)_other"
-            )
-        else:
-            label = f"(3,{image_dim})"
+        # Smooth: u_r = sum of the center, so det(image cone) = ±det(star cone) = ±1.
+        suffix = "^sm" if smooth else "_other" if image_dim == 0 else ""
         return ContractionDescriptor(
             kind="divisorial",
-            type_label=label,
+            type_label=f"(3,{image_dim}){suffix}",
             exc_rays=(r,),
             image_dim=image_dim,
             center=center,

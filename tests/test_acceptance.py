@@ -237,7 +237,7 @@ def test_criterion_12_randomized_property_suites():
 
     # (e) D.C_D = -1 and the anticanonical degree table on every
     # classified fixed divisor of the corpus.
-    degree_table = {"(3,2)": 1, "(3,2)^sm": 1, "(3,1)^sm": 2, "(3,0)^Q": 2, "(3,0)^sm": 3}
+    degree_table = {"(3,2)": 1, "(3,2)^sm": 1, "(3,1)^sm": 2, "(3,0)^sm": 3}
     for name in ("Bl_pt_P4", "D3", "B511", "Y_tower", "R3"):
         for rep in classified_fixed_divisors(builtin(name)):
             if rep.type_label in degree_table:

@@ -619,6 +619,51 @@ def test_blowup_of_a_fan_without_a_ledger_registers_nothing(capsys, registry, tm
     assert not Path(registry).exists() or not any(Path(registry).iterdir())
 
 
+LOW_DIMENSIONAL_FANS = {
+    "P1": (1, [[1], [-1]], [[0], [1]]),
+    "P2": (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    "P3": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    "Bl_pt_P3": (
+        3,
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+        [[0, 1, 4], [0, 2, 4], [1, 2, 4], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    ),
+    "F1": (2, [[1, 0], [0, 1], [-1, 1], [0, -1]], [[0, 1], [1, 2], [2, 3], [0, 3]]),
+}
+NO_LEDGER = "intersection numbers are implemented for 4-folds"
+NO_SURGERY = "birational surgery is implemented for 4-folds"
+
+
+@pytest.mark.parametrize("name", sorted(LOW_DIMENSIONAL_FANS))
+@pytest.mark.parametrize(
+    "command", ["validate", "cones", "fixed", "info", "blowup", "chambers", "delta", "mmp", "contract", "flip"]
+)
+def test_every_fan_command_on_a_fan_below_dimension_4_ends_in_one_line(capsys, registry, tmp_path, name, command):
+    # The exit and the message each command gives today, pinned so that
+    # extending a layer below dimension 4 changes them on purpose.
+    dim, rays, cones = LOW_DIMENSIONAL_FANS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim": dim, "rays": rays, "max_cones": cones}))
+    rho = len(rays) - dim
+    extra = {
+        "blowup": ["--center", "0,1"],
+        "mmp": ["--divisor", "0"],
+        "contract": ["--ray", "0"],
+        "flip": ["--class", ",".join(["1"] * rho)],
+    }.get(command, [])
+    code, _, err = run(capsys, "--registry", registry, command, str(path), *extra)
+    if command in ("validate", "cones") or (command == "fixed" and rho == 1):
+        expected = None
+    elif command == "blowup" and dim == 1:
+        expected = "center must have 2..1 rays, got 2"
+    elif command in ("info", "blowup"):
+        expected = NO_LEDGER
+    else:
+        expected = NO_SURGERY
+    assert (code, err) == ((0, "") if expected is None else (2, f"error: {expected}\n"))
+    assert not Path(registry).exists() or not any(Path(registry).iterdir())
+
+
 def test_register_into_a_missing_subdirectory_is_input_error(tmp_path):
     from toricfano.cli import CliError, Session
 

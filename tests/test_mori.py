@@ -374,7 +374,7 @@ def test_r3_profile():
     assert labels.count("(3,0)^sm") == 2
     for r in reports:
         assert r.pairing_D_CD == -1
-        table = {"(3,2)": 1, "(3,2)^sm": 1, "(3,1)^sm": 2, "(3,0)^Q": 2, "(3,0)^sm": 3}
+        table = {"(3,2)": 1, "(3,2)^sm": 1, "(3,1)^sm": 2, "(3,0)^sm": 3}
         if r.type_label in table:
             assert r.degK_CD == table[r.type_label]
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,11 +36,9 @@ from toricfano.surgery import (
     _analyze_walls_on_ray,
     blowup,
     contract,
-    divisor_link_fan,
     extremal_rays,
     flip,
     flip_circuits,
-    looks_like_quadric_cone,
     ne_cone,
 )
 from toricfano.variety import ToricVariety
@@ -289,46 +288,6 @@ def test_tower_base_y_is_fano_rho3():
     Y = plane_blowup_tower_base()
     assert Y.rho == 3
     assert Y.is_fano
-
-
-def test_divisor_link_fan_of_exceptional_p3():
-    X = bl_pt_p4()
-    link = divisor_link_fan(X, 5)
-    assert link.dim == 3
-    assert link.n_rays == 4
-    assert len(link.max_cones) == 4
-    assert ToricVariety(link).rho == 1  # it is a P3
-
-
-def test_quadric_cone_shape_recognizer():
-    # Simplicial subdivision of the projective cone over P1 x P1.
-    rays = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, 0, -1], [0, -1, -1]]
-    cones = [
-        [0, 1, 2],
-        [0, 1, 4],
-        [0, 2, 3],
-        [0, 3, 4],
-        [1, 2, 3],
-        [1, 3, 4],
-    ]
-    fan3 = Fan.make(3, rays, cones)
-    assert looks_like_quadric_cone(fan3)
-    assert not looks_like_quadric_cone(divisor_link_fan(bl_pt_p4(), 5))
-
-
-def test_quadric_cone_shape_reads_the_rays_alone():
-    # X = P_{P1}(O + O(1) + O(1)) x P1 is smooth, so the links of its
-    # divisors are smooth, yet two of them have the rays of a quadric cone.
-    from toricfano.library import product_fan, projective_space_fan, split_bundle_fan
-
-    X = ToricVariety(
-        product_fan(split_bundle_fan(projective_space_fan(1), [[1, 0], [1, 0]]), projective_space_fan(1))
-    )
-    assert X.is_smooth
-    passing = [r for r in range(X.n_rays) if looks_like_quadric_cone(divisor_link_fan(X, r))]
-    assert passing == [5, 6]
-    for r in passing:
-        assert ToricVariety(divisor_link_fan(X, r)).is_smooth
 
 
 def test_blowup_all_centers_validate():
@@ -641,16 +600,38 @@ def test_every_divisorial_ray_contracts_its_own_center(walked_and_blown_up):
 def test_every_divisorial_ray_is_labelled(walked_and_blown_up):
     # A curve center whose relation is not unit, such as
     # -2 u_6 + u_4 + u_5 + u_7 = 0, is the (3,1) analogue of (3,2).
+    labels = {"(3,2)^sm", "(3,1)^sm", "(3,0)^sm", "(3,2)", "(3,1)", "(3,0)_other"}
     three_one = []
     for X in walked_and_blown_up:
         for _, d in extremal_rays(X):
             if d.kind != "divisorial":
                 continue
-            assert d.type_label is not None
+            assert d.type_label in labels
             assert d.type_label.startswith(f"(3,{d.image_dim})")
             if d.type_label == "(3,1)":
                 three_one.append(sorted(x for x in d.relation_sample if x))
     assert three_one == [[-2, 1, 1, 1]] * 3
+
+
+def test_every_point_contraction_contracts_a_p3(walked_and_blown_up):
+    # Reid 1983, section 2: the divisor E contracted to a point is a fake
+    # weighted projective space, here a smooth one, so E is P3: its star
+    # has four maximal cones on four neighbour rays, the center, and the
+    # relation reads k u_E = u_1 + ... + u_4, smooth exactly when k = 1.
+    coefficients = Counter()
+    for X in walked_and_blown_up:
+        for _, d in extremal_rays(X):
+            if d.kind != "divisorial" or d.image_dim != 0:
+                continue
+            (e,) = d.exc_rays
+            star = [c for c in X.fan.max_cones if e in c]
+            neighbours = {i for c in star for i in c} - {e}
+            assert len(star) == 4 and tuple(sorted(neighbours)) == d.center
+            assert [d.relation_sample[i] for i in d.center] == [1, 1, 1, 1]
+            k = -d.relation_sample[e]
+            assert d.type_label == ("(3,0)^sm" if k == 1 else "(3,0)_other")
+            coefficients[k] += 1
+    assert coefficients == {1: 190, 2: 15}
 
 
 # -- models on the same rays share one record of them --------------------
