@@ -1,6 +1,6 @@
 """Global cone analysis: Nef/Mov/Eff and their curve-side duals, fixed
 prime divisors and their types, divisor-directed MMP runs, the
-Lefschetz defect, Picard-bound consistency assertions, and the chamber
+Lefschetz defect, the 4-fold Picard-bound assertions, and the chamber
 decomposition of the movable cone.
 
 Divisor-directed MMP.  Steps are flips of negative small extremal rays
@@ -404,8 +404,8 @@ def classify_fixed_divisor(
     supplies the distinguished curve C_D moving in the divisor (the wall
     curve of the terminal contraction, whose class is unchanged by the
     preceding flips); the whole walk decides uniqueness.  Differing
-    outcomes are reported as ambiguous, and on a Fano X with rho >= 6,
-    where the outcome is unique, they are an engine bug.
+    outcomes are reported as ambiguous, and on a Fano 4-fold with
+    rho >= 6, where the outcome is unique, they are an engine bug.
     """
     traces = mmp_all_for_divisor(X, r, max_steps=max_steps)
     default = traces[0]
@@ -422,7 +422,7 @@ def classify_fixed_divisor(
         label = labels[0]
     else:
         label = "ambiguous(" + ", ".join(labels) + ")"
-    if X.is_fano and X.rho >= 6 and len(labels) > 1:
+    if X.dim == 4 and X.is_fano and X.rho >= 6 and len(labels) > 1:
         raise InternalCheckError(
             f"rho = {X.rho} >= 6 but the MMP outcome is not unique: {labels}"
             f" for the divisor of ray {r} on fan {X.fan.content_hash()}"
@@ -481,12 +481,14 @@ def lefschetz_witnesses(X: ToricVariety) -> list[int]:
 
 
 def verify_bounds(X: ToricVariety) -> list[tuple[str, bool]]:
-    """Consistency assertions for the Picard-number bounds; a violation
-    signals an engine bug, never new mathematics."""
+    """Consistency assertions for the Picard-number bounds of 4-folds, none
+    in another dimension; a violation is an engine bug, never new mathematics."""
+    if X.dim != 4:
+        return []
     delta, _ = lefschetz_defect(X)
     rho = X.rho
     has_fiber = any(d.kind == "fiber_type" for _, d in extremal_rays(X))
-    claims = [
+    return [
         ("delta = 3 implies rho <= 6", delta != 3 or rho <= 6),
         ("delta = 2 implies rho <= 12", delta != 2 or rho <= 12),
         (
@@ -494,7 +496,6 @@ def verify_bounds(X: ToricVariety) -> list[tuple[str, bool]]:
             not has_fiber or rho <= 11,
         ),
     ]
-    return claims
 
 
 # -- Mori chamber decomposition ----------------------------------------

@@ -11,19 +11,20 @@ when it has two or more rays.  The relation alone types a divisorial
 ray (Reid 1983): it is a smooth blow-down exactly when its walls carry
 one relation u_E = u_1 + ... + u_c and every cone of the star of E
 misses exactly one center ray, so the star re-fans over {1..c}; no
-contraction is built to decide it.  On a point contraction E is P3
-(Reid, section 2: a fake weighted projective space, here smooth), so
-the relation is k u_E = u_1 + ... + u_4 and the label is (3,0)^sm
-exactly when k = 1, else (3,0)_other; E is never a quadric, smooth
-(not toric) or singular (not smooth).  Every divisorial ray carries its
-center, the positive support of its relation (Reid: the relation fixes
-the contraction), and ``contract`` re-fans the star over exactly that
-center.  The flippable small pattern is a five-ray circuit with unit
-coefficients split 3 against 2.  A flip takes a class only on a small
-extremal ray: the walls of a class off the extremal rays can show the
-same pattern, but exchanging their circuits gives a complete fan that
-is not the flip of a contraction (on a blow-up of R3, one whose nef
-cone has empty interior).
+contraction is built to decide it.  On an n-fold a divisorial ray is
+labelled (n-1,d), d the dimension of the image.  On a point contraction
+E is P^(n-1) (Reid, section 2: a fake weighted projective space, here
+smooth), so the relation is k u_E = u_1 + ... + u_n and the label is
+(n-1,0)^sm exactly when k = 1, else (n-1,0)_other.  Every divisorial ray
+carries its center, the positive support of its relation (Reid: the
+relation fixes the contraction), and ``contract`` re-fans the star over
+exactly that center.  The flippable small pattern is a circuit of n + 1
+rays with unit coefficients, at least two of them negative: on a 4-fold
+five rays split 3 against 2, on a 3-fold the flop u_a + u_b = u_c + u_d.
+A flip takes a class only on a small extremal ray: the walls of a class
+off the extremal rays can show the same pattern, but exchanging their
+circuits gives a complete fan that is not the flip of a contraction (on
+a blow-up of R3, one whose nef cone has empty interior).
 
 Flips and contractions come in two steps: the fan-level move
 (``flipped_fan``, ``contracted_fan``) and the model build, so a walk
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .cones import RationalCone
@@ -54,24 +56,21 @@ class SurgeryError(ValueError):
     pass
 
 
-def _require_4fold(X: ToricVariety) -> None:
-    if X.dim != 4:
-        raise SurgeryError("birational surgery is implemented for 4-folds")
-
-
 # -- blow-up ----------------------------------------------------------
 
 
 def blowup(X: ToricVariety, center: Sequence[int]) -> ToricVariety:
     """Star subdivision at the primitive sum of the center cone's rays.
 
-    The center must be a cone of the fan of dimension 2..dim (invariant
-    surface, curve, or point on a 4-fold), given by distinct rays.  The
-    input may be singular, since blowing up its singular cones can
-    resolve them; a result that fails validation raises, naming the
+    The center must be a cone of the fan of dimension 2..dim (on a
+    4-fold an invariant surface, curve or point), given by distinct
+    rays.  The input may be singular, since blowing up its singular cones
+    can resolve them; a result that fails validation raises, naming the
     blow-up.
     """
     fan = X.fan
+    if fan.dim < 2:
+        raise SurgeryError("a 1-dimensional fan has no blow-up center")
     center = tuple(sorted(center))
     repeated = next((i for i, j in zip(center, center[1:]) if i == j), None)
     if repeated is not None:
@@ -187,16 +186,16 @@ class FlipCircuit:
     negative: tuple[int, ...]
 
 
-def _is_flippable_pattern(relation: IntVec) -> bool:
-    """Five unit coefficients split 3 against 2."""
-    return sorted(c for c in relation if c) in ([-1, -1, 1, 1, 1], [-1, -1, -1, 1, 1])
+def _is_flippable_pattern(relation: IntVec, dim: int) -> bool:
+    """dim + 1 unit coefficients, at least two of them negative."""
+    support = [c for c in relation if c]
+    return len(support) == dim + 1 and {*support} <= {-1, 1} and support.count(-1) >= 2
 
 
 def flip_circuits(X: ToricVariety, curve: Sequence[int]) -> list[FlipCircuit]:
     """Group the walls on a small extremal class into bistellar circuits,
-    checking that the class is on a small extremal ray and the
-    five-ray unit-coefficient pattern."""
-    _require_4fold(X)
+    checking that the class is on a small extremal ray and the flippable
+    pattern of dim + 1 unit coefficients."""
     coords = tuple(curve)
     ray = primitive_vector(coords) if any(coords) else None
     indices = X.walls_by_class.get(ray)
@@ -212,13 +211,13 @@ def flip_circuits(X: ToricVariety, curve: Sequence[int]) -> list[FlipCircuit]:
         rel = ws[0].relation
         if any(w.relation != rel for w in ws):
             raise SurgeryError(f"inconsistent relations on circuit {list(support)}")
-        if not _is_flippable_pattern(rel):
+        if not _is_flippable_pattern(rel, X.dim):
             raise SurgeryError(
                 f"circuit {list(support)} with relation {list(rel)} is not the "
-                "flippable five-ray unit pattern"
+                f"flippable pattern of {X.dim + 1} unit coefficients"
             )
         pos, neg = ws[0].positive_rays, ws[0].negative_rays
-        if len(ws) != (3 if len(pos) == 3 else 1):
+        if len(ws) != comb(len(pos), 2):
             raise SurgeryError(
                 f"circuit {list(support)} has {len(ws)} walls on the ray, "
                 "inconsistent with its orientation"
@@ -266,7 +265,7 @@ def flip(X: ToricVariety, curve: Sequence[int]) -> tuple[ToricVariety, list[Flip
 @dataclass(frozen=True)
 class ContractionDescriptor:
     kind: str  # fiber_type | divisorial | small
-    type_label: Optional[str]  # divisorial rays: (3,2)^sm (3,1)^sm (3,0)^sm (3,2) (3,1) (3,0)_other
+    type_label: Optional[str]  # divisorial rays: (dim-1,image_dim) then ^sm, _other or nothing
     exc_rays: tuple[int, ...]
     image_dim: int
     center: Optional[tuple[int, ...]] = None
@@ -289,8 +288,8 @@ def ne_cone(X: ToricVariety) -> RationalCone:
 
 def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> ContractionDescriptor:
     """Type an extremal ray from its walls' relation.  E of a point
-    contraction is P3 (Reid 1983, section 2), so the ray is (3,0)^sm
-    exactly when E's coefficient is -1, else (3,0)_other."""
+    contraction is P^(dim-1) (Reid 1983, section 2), so the ray is
+    (dim-1,0)^sm exactly when E's coefficient is -1, else (dim-1,0)_other."""
     rel_sample = walls_on_ray[0].relation
     negatives = [w.negative_rays for w in walls_on_ray]
     positives = [w.positive_rays for w in walls_on_ray]
@@ -329,7 +328,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
         suffix = "^sm" if smooth else "_other" if image_dim == 0 else ""
         return ContractionDescriptor(
             kind="divisorial",
-            type_label=f"(3,{image_dim}){suffix}",
+            type_label=f"({X.dim - 1},{image_dim}){suffix}",
             exc_rays=(r,),
             image_dim=image_dim,
             center=center,
@@ -342,7 +341,7 @@ def _analyze_walls_on_ray(X: ToricVariety, walls_on_ray: list[Wall]) -> Contract
             type_label=None,
             exc_rays=exc,
             image_dim=0,
-            flippable=all(_is_flippable_pattern(w.relation) for w in walls_on_ray),
+            flippable=all(_is_flippable_pattern(w.relation, X.dim) for w in walls_on_ray),
             relation_sample=rel_sample,
         )
     raise SurgeryError(
@@ -355,7 +354,6 @@ def extremal_rays(X: ToricVariety) -> list[tuple[IntVec, ContractionDescriptor]]
     """Extremal rays of the cone of curves with their contraction data,
     typed once per variety."""
     if X._extremal_rays is None:
-        _require_4fold(X)
         ne = ne_cone(X)
         if ne.dim < X.rho:
             raise SurgeryError("cone of curves is not full-dimensional")

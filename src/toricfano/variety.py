@@ -15,13 +15,14 @@ cone sigma (the Bott residue formula: Edidin-Graham, "Localization in
 equivariant intersection theory and the Bott residue formula", Amer. J.
 Math. 1998; Brion, arXiv:math/9802063).  Each maximal cone carries its
 dual basis: the rows g_i with g_i . u_j = delta_ij over its rays, from
-validation's per-cone memo, so each distinct cone is eliminated once per
-process and its rows, tuples, are shared by every model holding it.  For one integer xi
-with every g_i . xi nonzero, the tangent weights at the fixed point are
-w_i = g_i . xi, D_j restricts to w_j for j in sigma and to 0 otherwise,
-so D_1 . ... . D_4 = sum_sigma prod_k l_k / e4(w) with
-l_k = sum_{i in sigma} a^(k)_i w_i, and D_1 . D_2 . c2 =
-sum_sigma l_1 l_2 e2(w) / e4(w), c(T_X) restricting to prod (1 + w_i).
+validation's per-cone memo, so each distinct cone is eliminated once
+per process and its rows, tuples, are shared by every model holding it.
+For one integer xi with every g_i . xi nonzero, the tangent weights at
+the fixed point are w_i = g_i . xi, D_j restricts to w_j for j in sigma
+and to 0 otherwise, so D_1 . ... . D_n = sum_sigma prod_k l_k / e_n(w)
+with l_k = sum_{i in sigma} a^(k)_i w_i, in any dimension n.  On a 4-fold
+D_1 . D_2 . c2 = sum_sigma l_1 l_2 e2(w) / e4(w), c(T_X) restricting to
+prod (1 + w_i); c2 and the ledger are the only 4-fold statements here.
 On a smooth fan the g_i are integers, so the sum is taken over one
 integer common denominator; a non-integral anticanonical result is an
 engine bug, not a property of the input.
@@ -298,12 +299,12 @@ class ToricVariety:
 
     @cached_property
     def _fixed_points(self) -> tuple[int, tuple[tuple[tuple[int, ...], IntVec, int, int], ...]]:
-        """(L, per maximal cone (rays, w, L / e4(w), L e2(w) / e4(w))).
+        """(L, per maximal cone (rays, w, L / e_n(w), L e2(w) / e_n(w))).
 
         w_i = g_i . xi are the tangent weights at the cone's fixed point
         for xi = (1, B, B^2, ...), B = 2 max|g entries| + 1, so each w_i
         is a balanced base-B expansion of a nonzero g_i and never 0; L is
-        the lcm of the e4(w).  Requires a smooth fan.
+        the lcm of the e_n(w) = prod(w).  Requires a smooth fan.
         """
         normals = self.report.dual_bases
         base = 2 * max(abs(x) for rows in normals.values() for g in rows for x in g) + 1
@@ -320,7 +321,7 @@ class ToricVariety:
     def _localize(self, divisors: Sequence[Sequence], c2: bool) -> Fraction:
         """Bott residue sum of the product of the divisors, given by their
         coefficient vectors over the rays (times c2 when asked):
-        sum over fixed points of prod_k l_k (e2(w) if c2) / e4(w), with
+        sum over fixed points of prod_k l_k (e2(w) if c2) / e_n(w), with
         l_k = sum_{i in sigma} a^(k)_i w_i.  Rational coefficients are
         cleared first, so the sum is taken in integers.
         """
@@ -343,16 +344,14 @@ class ToricVariety:
 
     def intersection_number(self, *divisors: Sequence) -> Fraction:
         """Exact top intersection number of dim-many divisors, each given
-        by its coefficient vector over the rays."""
+        by its coefficient vector over the rays, in any dimension."""
         self._require_smooth()
-        if self.dim != 4:
-            raise ValidationError("intersection numbers are implemented for 4-folds")
         if len(divisors) != self.dim:
             raise ValueError(f"need exactly {self.dim} divisors")
         return self._localize(divisors, c2=False)
 
     def c2_product(self, d1: Sequence, d2: Sequence) -> Fraction:
-        """D1 . D2 . c2(X), with c2(X) = e2 of the tangent weights."""
+        """D1 . D2 . c2(X) on a 4-fold, c2(X) = e2 of the tangent weights."""
         self._require_smooth()
         if self.dim != 4:
             raise ValidationError("c2 pairing is implemented for 4-folds")
@@ -365,7 +364,9 @@ class ToricVariety:
     # -- the anticanonical ledger ---------------------------------------
 
     def ledger_state(self) -> LedgerState:
-        """(chi(-K), (-K)^4, (-K)^2.c2, rho) computed from the fan."""
+        """(chi(-K), (-K)^4, (-K)^2.c2, rho) of a 4-fold, from its fan."""
+        if self.dim != 4:
+            raise ValidationError("the anticanonical ledger is implemented for 4-folds")
         mk = [1] * self.n_rays
         deg = self.intersection_number(mk, mk, mk, mk)
         c2 = self.c2_pairing(mk)

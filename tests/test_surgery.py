@@ -34,6 +34,7 @@ from toricfano.surgery import (
     FlipCircuit,
     SurgeryError,
     _analyze_walls_on_ray,
+    _is_flippable_pattern,
     blowup,
     contract,
     extremal_rays,
@@ -454,13 +455,13 @@ def test_extremal_rays_are_typed_once_per_variety(monkeypatch):
 
 
 def test_extremal_rays_failure_is_not_cached():
-    from toricfano.library import projective_space_fan
+    from test_mori import _nonprojective_fan
 
-    X = ToricVariety(projective_space_fan(2))
+    X = ToricVariety(_nonprojective_fan())
     for _ in range(2):
-        with pytest.raises(SurgeryError, match="4-folds"):
+        with pytest.raises(SurgeryError, match="not projective"):
             extremal_rays(X)
-        assert X._extremal_rays is None
+        assert X._extremal_rays is None and X._ne is None
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -632,6 +633,19 @@ def test_every_point_contraction_contracts_a_p3(walked_and_blown_up):
             assert d.type_label == ("(3,0)^sm" if k == 1 else "(3,0)_other")
             coefficients[k] += 1
     assert coefficients == {1: 190, 2: 15}
+
+
+def test_the_flippable_pattern_in_dimension_4_is_the_five_ray_literal(walked_and_blown_up):
+    # dim + 1 unit coefficients with at least two negative is, on 4-folds,
+    # the pattern the flips were written for: five units split 3 against 2.
+    literal = ([-1, -1, 1, 1, 1], [-1, -1, -1, 1, 1])
+    relations = {w.relation for X in walked_and_blown_up for w in X.walls}
+    seen = Counter()
+    for rel in relations:
+        old = sorted(c for c in rel if c) in literal
+        assert _is_flippable_pattern(rel, 4) == old
+        seen[old] += 1
+    assert seen == {True: 169, False: 805}
 
 
 # -- models on the same rays share one record of them --------------------
